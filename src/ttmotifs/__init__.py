@@ -38,7 +38,6 @@ from .core import (
     FORK,
     MOTIF_KINDS,
     Arc,
-    DegreeProfile,
     Motif,
     TransitiveTournament,
     chain,
@@ -66,7 +65,6 @@ __all__ = [
     "COVERAGE_GAP",
     "Cell",
     "DUPLICATE_ARC",
-    "DegreeProfile",
     "Diagram",
     "FOREIGN_ARC",
     "FORK",

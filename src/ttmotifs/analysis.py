@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .constructions import MotifCollection, MotifCounts
-from .core import CHAIN, COLLIDER, FORK, MOTIF_KINDS, Arc, classify_arcs, motif_arcs
+from .core import CHAIN, COLLIDER, MOTIF_KINDS, Arc, check_kind, check_order, classify_arcs, motif_arcs
 
 DUPLICATE_ARC = "duplicate_arc"
 FOREIGN_ARC = "foreign_arc"
@@ -20,28 +20,18 @@ MISCLASSIFIED_MOTIF = "misclassified_motif"
 COVERAGE_GAP = "coverage_gap"
 
 
-def _check_kind(kind: str) -> None:
-    if kind not in MOTIF_KINDS:
-        raise ValueError(f"unknown motif kind {kind!r}; expected one of {MOTIF_KINDS}")
-
-
-def _check_order(n: int) -> None:
-    if n < 1:
-        raise ValueError(f"order must be at least 1, got {n}")
-
-
 def is_admissible(n: int) -> bool:
     """True iff n(n-1)/2 is even, i.e. n = 0 or 1 (mod 4), so the arc
     set can split into two-arc motifs without remainder."""
-    _check_order(n)
+    check_order(n)
     return n % 4 in (0, 1)
 
 
 def packing_number(kind: str, n: int) -> int:
     """Maximum number of arc-disjoint motifs of one kind in TT_n:
     n(n-2)/4 for even n, (n-1)^2/4 for odd n — the same for all kinds."""
-    _check_kind(kind)
-    _check_order(n)
+    check_kind(kind)
+    check_order(n)
     numerator = n * (n - 2) if n % 2 == 0 else (n - 1) * (n - 1)
     assert numerator % 4 == 0
     return numerator // 4
@@ -63,8 +53,8 @@ def center_capacity(kind: str, n: int, t: int) -> int:
     """Maximum number of kind-motifs that can be centred on vertex t:
     chains need an in- and an out-arc, colliders two in-arcs, forks two
     out-arcs, and vertex t has t-1 arcs in and n-t arcs out."""
-    _check_kind(kind)
-    _check_order(n)
+    check_kind(kind)
+    check_order(n)
     if not 1 <= t <= n:
         raise ValueError(f"vertex {t} outside 1..{n}")
     if kind == CHAIN:
@@ -92,7 +82,7 @@ class PackingNumberTable:
 
 
 def packing_number_table(n: int) -> PackingNumberTable:
-    _check_order(n)
+    check_order(n)
     slots = n * (n - 1) // 4 if n * (n - 1) % 4 == 0 else None
     return PackingNumberTable(
         n=n,
@@ -147,7 +137,17 @@ def verify(collection: MotifCollection) -> VerificationReport:
                 )
             )
             continue
-        a, b, c = motif.vertices
+        try:
+            a, b, c = motif.vertices
+        except (TypeError, ValueError):
+            violations.append(
+                Violation(
+                    MISCLASSIFIED_MOTIF,
+                    f"motif {index} vertices {motif.vertices!r} are not a vertex triple",
+                    motifs=(index,),
+                )
+            )
+            continue
         if not a < b < c:
             violations.append(
                 Violation(

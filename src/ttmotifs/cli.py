@@ -14,7 +14,7 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any
 
 from .analysis import (
@@ -30,7 +30,7 @@ from .analysis import (
 )
 from .constructions import STRATEGIES, MotifCollection
 from .core import CHAIN, COLLIDER, FORK, MOTIF_KINDS, Arc, Motif, TransitiveTournament, chain, collider, fork
-from .diagram import Diagram
+from .diagram import Diagram, check_render_order
 from .oracle import SearchBudget, max_packing
 
 EXIT_DECOMPOSITION = 0
@@ -62,6 +62,8 @@ class CollectionDocument:
 
 
 def document_from_collection(collection: MotifCollection) -> CollectionDocument:
+    """The document a collection declares itself as: its kind and unused
+    arcs are derived from the motifs, never taken on trust."""
     unused = tuple(sorted(collection.unused_arcs))
     return CollectionDocument(
         n=collection.n,
@@ -83,11 +85,13 @@ def _json_block(key: str, items: list[str], last: bool = False) -> list[str]:
     return lines
 
 
+def _motif_object(motif: Motif) -> dict[str, Any]:
+    """A motif as the JSON object {"type", "vertices"}."""
+    return {"type": motif.kind, "vertices": list(motif.vertices)}
+
+
 def document_to_json(document: CollectionDocument) -> str:
-    motifs = [
-        json.dumps({"type": motif.kind, "vertices": list(motif.vertices)})
-        for motif in document.motifs
-    ]
+    motifs = [json.dumps(_motif_object(motif)) for motif in document.motifs]
     unused = [json.dumps(list(arc)) for arc in document.unused_arcs]
     lines = [
         "{",
@@ -195,28 +199,37 @@ def parse_motif_line(line: str) -> Motif:
 # --- shared rendering -------------------------------------------------------
 
 
-def _document_violations(document: CollectionDocument, collection: MotifCollection) -> list[Violation]:
-    """Consistency of the document's declared fields with its motifs."""
-    findings: list[Violation] = []
-    derived_unused = tuple(sorted(collection.unused_arcs))
+def _verify_document(document: CollectionDocument, collection: MotifCollection) -> VerificationReport:
+    """Verify the document's motifs, then hold its declared fields
+    against the ones derived from them.  Each disagreement is a coverage
+    gap that makes the report invalid."""
+    report = verify(collection)
+    derived = document_from_collection(collection)
     declared_unused = tuple(sorted(document.unused_arcs))
-    if declared_unused != derived_unused:
+    findings: list[Violation] = []
+    if declared_unused != derived.unused_arcs:
         findings.append(
             Violation(
                 COVERAGE_GAP,
                 "declared unused_arcs disagree with the arcs actually left uncovered "
-                f"(declared {len(declared_unused)}, actual {len(derived_unused)})",
+                f"(declared {len(declared_unused)}, actual {len(derived.unused_arcs)})",
             )
         )
-    derived_kind = KIND_DECOMPOSITION if not derived_unused else KIND_PACKING
-    if document.kind != derived_kind:
+    if document.kind != derived.kind:
         findings.append(
             Violation(
                 COVERAGE_GAP,
-                f"document declares a {document.kind} but the motifs form a {derived_kind}",
+                f"document declares a {document.kind} but the motifs form a {derived.kind}",
             )
         )
-    return findings
+    if not findings:
+        return report
+    return replace(
+        report,
+        valid=False,
+        is_decomposition=False,
+        violations=report.violations + tuple(findings),
+    )
 
 
 def _violation_lines(violations: tuple[Violation, ...]) -> list[str]:
@@ -278,6 +291,8 @@ def _classification_exit(report: VerificationReport) -> int:
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
+    if args.format == "diagram":  # before building: a large construction takes seconds
+        check_render_order(args.n)
     collection = STRATEGIES[args.strategy](args.n)
     report = verify(collection)
     if not report.valid:  # constructions are total; this is a tripwire
@@ -290,11 +305,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         for motif in collection.motifs:
             print(motif_to_text(motif))
     else:  # diagram
-        try:
-            print(Diagram(args.n).render_ascii(highlight=collection))
-        except ValueError as exc:
-            sys.stderr.write(f"error: {exc}\n")
-            return EXIT_USAGE
+        print(Diagram(args.n).render_ascii(highlight=collection))
     if not report.is_decomposition:
         unused = sorted(collection.unused_arcs)
         sys.stderr.write(
@@ -372,16 +383,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         sys.stderr.write(f"error: malformed document: {exc}\n")
         return EXIT_USAGE
     collection = document.to_collection()
-    report = verify(collection)
-    extra = _document_violations(document, collection)
-    if extra:
-        report = VerificationReport(
-            n=report.n,
-            valid=False,
-            is_decomposition=False,
-            counts=report.counts,
-            violations=report.violations + tuple(extra),
-        )
+    report = _verify_document(document, collection)
     if args.format == "json":
         sys.stdout.write(_report_json(report, collection))
     else:
@@ -416,10 +418,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
             "comparison": comparison_code,
         }
         if args.witness:
-            payload["witness"] = [
-                {"type": motif.kind, "vertices": list(motif.vertices)}
-                for motif in result.witness.motifs
-            ]
+            payload["witness"] = [_motif_object(motif) for motif in result.witness.motifs]
         sys.stdout.write(json.dumps(payload, indent=2) + "\n")
         return EXIT_DECOMPOSITION
     lines = [

@@ -16,11 +16,12 @@ produce identical motif lists.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
-from .core import CHAIN, COLLIDER, FORK, Arc, Motif, chain, collider, fork, motif_arcs
+from .core import CHAIN, COLLIDER, FORK, Arc, Motif, chain, check_order, collider, fork, iter_arcs, motif_arcs
 
 
 class MotifCounts(NamedTuple):
@@ -43,8 +44,7 @@ class MotifCollection:
     motifs: tuple[Motif, ...]
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"order must be at least 1, got {self.n}")
+        check_order(self.n)
 
     @cached_property
     def used_arcs(self) -> frozenset[Arc]:
@@ -55,12 +55,7 @@ class MotifCollection:
     def unused_arcs(self) -> frozenset[Arc]:
         """Arcs of TT_n in no motif."""
         used = self.used_arcs
-        return frozenset(
-            (i, j)
-            for i in range(1, self.n)
-            for j in range(i + 1, self.n + 1)
-            if (i, j) not in used
-        )
+        return frozenset(arc for arc in iter_arcs(self.n) if arc not in used)
 
     @cached_property
     def counts(self) -> MotifCounts:
@@ -72,9 +67,11 @@ class MotifCollection:
         return MotifCounts(tally[CHAIN], tally[COLLIDER], tally[FORK])
 
 
-def _check_order(n: int) -> None:
-    if n < 1:
-        raise ValueError(f"order must be at least 1, got {n}")
+def _pairs(dots: Iterable[int]) -> Iterator[tuple[int, int]]:
+    """Consecutive dots paired off in order: (d0, d1), (d2, d3), ...;
+    an odd last dot is left out, and the caller decides where it goes."""
+    it = iter(dots)
+    return zip(it, it)
 
 
 def construct_mixed(n: int) -> MotifCollection:
@@ -85,24 +82,22 @@ def construct_mixed(n: int) -> MotifCollection:
     to right into forks; the unpaired dots — all in column n — pair off
     top to bottom into colliders with head n.
     """
-    _check_order(n)
+    check_order(n)
     motifs: list[Motif] = []
     for m in range(1, (n - 1) // 2 + 1):
         motifs.append(chain(2 * m - 1, 2 * m, 2 * m + 1))
     leftover_rows: list[int] = []
     for i in range(1, n):
         if i <= n - 2:
-            cols = list(range(i + 2, n + 1))
+            cols = range(i + 2, n + 1)
         elif n % 2 == 0:
             cols = [n]  # odd diagonal count: dot (n-1, n) survives the chains
         else:
             cols = []
-        for p in range(0, len(cols) - 1, 2):
-            motifs.append(fork(i, cols[p], cols[p + 1]))
+        motifs.extend(fork(i, b, c) for b, c in _pairs(cols))
         if len(cols) % 2 == 1:
             leftover_rows.append(i)  # the unpaired dot is (i, n)
-    for p in range(0, len(leftover_rows) - 1, 2):
-        motifs.append(collider(leftover_rows[p], leftover_rows[p + 1], n))
+    motifs.extend(collider(a, b, n) for a, b in _pairs(leftover_rows))
     return MotifCollection(n, tuple(motifs))
 
 
@@ -115,7 +110,7 @@ def construct_chain_max(n: int) -> MotifCollection:
     (i, n) for i = 1 and each low centre i; those pair into colliders
     with head n, tails taken in ascending consecutive pairs.
     """
-    _check_order(n)
+    check_order(n)
     motifs: list[Motif] = []
     mid = (n + 2) // 2  # smallest high centre
     for t in range(n - 1, mid - 1, -1):
@@ -124,9 +119,8 @@ def construct_chain_max(n: int) -> MotifCollection:
     for t in range(mid - 1, 1, -1):
         for i in range(1, t):
             motifs.append(chain(i, t, n - i))
-    tails = list(range(1, mid)) if n >= 2 else []
-    for p in range(0, len(tails) - 1, 2):
-        motifs.append(collider(tails[p], tails[p + 1], n))
+    tails = range(1, mid) if n >= 2 else ()
+    motifs.extend(collider(a, b, n) for a, b in _pairs(tails))
     return MotifCollection(n, tuple(motifs))
 
 
@@ -137,17 +131,15 @@ def construct_collider_max(n: int) -> MotifCollection:
     so on; the even columns are left with their top dot (1, j), and
     those pair into forks with tail 1, heads ascending.
     """
-    _check_order(n)
+    check_order(n)
     motifs: list[Motif] = []
     unpaired_heads: list[int] = []
     for j in range(2, n + 1):
-        rows = list(range(j - 1, 0, -1))
-        for p in range(0, len(rows) - 1, 2):
-            motifs.append(collider(rows[p + 1], rows[p], j))
+        rows = range(j - 1, 0, -1)
+        motifs.extend(collider(a, b, j) for a, b in _pairs(rows))
         if len(rows) % 2 == 1:
             unpaired_heads.append(j)  # the unpaired dot is (1, j)
-    for p in range(0, len(unpaired_heads) - 1, 2):
-        motifs.append(fork(1, unpaired_heads[p], unpaired_heads[p + 1]))
+    motifs.extend(fork(1, b, c) for b, c in _pairs(unpaired_heads))
     return MotifCollection(n, tuple(motifs))
 
 
@@ -158,17 +150,15 @@ def construct_fork_max(n: int) -> MotifCollection:
     on; rows of odd length are left with their last dot (i, n), and
     those pair into colliders with head n, tails ascending.
     """
-    _check_order(n)
+    check_order(n)
     motifs: list[Motif] = []
     unpaired_tails: list[int] = []
     for i in range(1, n):
-        cols = list(range(i + 1, n + 1))
-        for p in range(0, len(cols) - 1, 2):
-            motifs.append(fork(i, cols[p], cols[p + 1]))
+        cols = range(i + 1, n + 1)
+        motifs.extend(fork(i, b, c) for b, c in _pairs(cols))
         if len(cols) % 2 == 1:
             unpaired_tails.append(i)  # the unpaired dot is (i, n)
-    for p in range(0, len(unpaired_tails) - 1, 2):
-        motifs.append(collider(unpaired_tails[p], unpaired_tails[p + 1], n))
+    motifs.extend(collider(a, b, n) for a, b in _pairs(unpaired_tails))
     return MotifCollection(n, tuple(motifs))
 
 

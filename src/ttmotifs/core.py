@@ -9,6 +9,7 @@ hashable, comparable, and cheap to put in sets.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -18,6 +19,24 @@ CHAIN = "chain"
 COLLIDER = "collider"
 FORK = "fork"
 MOTIF_KINDS = (CHAIN, COLLIDER, FORK)
+
+
+def check_order(n: int) -> None:
+    """Reject orders below 1."""
+    if n < 1:
+        raise ValueError(f"order must be at least 1, got {n}")
+
+
+def check_kind(kind: str) -> None:
+    """Reject anything but the three motif kinds."""
+    if kind not in MOTIF_KINDS:
+        raise ValueError(f"unknown motif kind {kind!r}; expected one of {MOTIF_KINDS}")
+
+
+def iter_arcs(n: int) -> Iterator[Arc]:
+    """All arcs of TT_n in lexicographic (tail, head) order.  Lazy, so a
+    caller that keeps only some of them never builds the full list."""
+    return ((i, j) for i in range(1, n) for j in range(i + 1, n + 1))
 
 
 class Motif(NamedTuple):
@@ -90,15 +109,6 @@ def motif_center(motif: Motif) -> int:
     raise ValueError(f"unknown motif kind {motif.kind!r}")
 
 
-class DegreeProfile(NamedTuple):
-    """Out- and in-degree of one vertex; neighbourhoods are the intervals
-    above (out) and below (in) the vertex, so they are not stored."""
-
-    vertex: int
-    out_degree: int
-    in_degree: int
-
-
 def classify_arcs(a: Arc, b: Arc) -> Motif | None:
     """Canonical motif formed by two distinct well-formed arcs.
 
@@ -127,31 +137,12 @@ class TransitiveTournament:
     n: int
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"order must be at least 1, got {self.n}")
+        check_order(self.n)
 
     @property
     def arc_count(self) -> int:
         return self.n * (self.n - 1) // 2
 
-    def has_arc(self, arc: Arc) -> bool:
-        tail, head = arc
-        return 1 <= tail < head <= self.n
-
     def arcs(self) -> list[Arc]:
         """All arcs in lexicographic (tail, head) order."""
-        return [(i, j) for i in range(1, self.n) for j in range(i + 1, self.n + 1)]
-
-    def degree_profile(self, t: int) -> DegreeProfile:
-        """Degrees of vertex t: out-degree n - t, in-degree t - 1."""
-        if not 1 <= t <= self.n:
-            raise ValueError(f"vertex {t} outside 1..{self.n}")
-        return DegreeProfile(t, self.n - t, t - 1)
-
-    def classify_pair(self, a: Arc, b: Arc) -> Motif | None:
-        """Canonical motif spanned by two distinct arcs of this tournament,
-        or None when they are vertex-disjoint."""
-        for arc in (a, b):
-            if not self.has_arc(arc):
-                raise ValueError(f"{arc} is not an arc of TT_{self.n}")
-        return classify_arcs(a, b)
+        return list(iter_arcs(self.n))

@@ -13,12 +13,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .constructions import MotifCollection
-from .core import Motif, chain, collider, fork, motif_arcs
+from .core import Motif, check_order, classify_arcs, motif_arcs
 
 Cell = tuple[int, int]  # (row, col): row 1..n-1, col 2..n
 
 _BASE62 = "0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 MAX_RENDER_ORDER = 99  # two-character labels and tags stop lining up beyond this
+
+
+def check_render_order(n: int) -> None:
+    """Reject orders too large for `Diagram.render_ascii`; cheap enough
+    to call before building anything that would be rendered."""
+    if n > MAX_RENDER_ORDER:
+        raise ValueError(
+            f"grid rendering supports n <= {MAX_RENDER_ORDER}; "
+            "use the JSON output for larger orders"
+        )
 
 
 def _tag(index: int) -> str:
@@ -38,8 +48,7 @@ class Diagram:
     n: int
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"order must be at least 1, got {self.n}")
+        check_order(self.n)
 
     def _check_cell(self, cell: Cell) -> None:
         row, col = cell
@@ -54,32 +63,20 @@ class Diagram:
         row, col = cell
         return row < col
 
-    def dotted_cells(self) -> list[Cell]:
-        """All dotted cells in row-major order; identical to the arc list."""
-        return [(i, j) for i in range(1, self.n) for j in range(i + 1, self.n + 1)]
-
     def motif_from_cells(self, first: Cell, second: Cell) -> Motif | None:
         """Motif selected by two dotted cells.
 
         Same row -> fork, same column -> collider, diagonal contact
         ((i, j) with (j, k), in either argument order) -> chain.  Any
-        other relation selects nothing and returns None.
+        other relation selects nothing and returns None.  A dotted cell
+        is an arc, so this is `classify_arcs` behind the cell checks.
         """
         for cell in (first, second):
             if not self.dot_present(cell):
                 raise ValueError(f"cell {cell} carries no dot")
         if first == second:
             raise ValueError(f"cells must be distinct, got {first} twice")
-        (i1, j1), (i2, j2) = first, second
-        if i1 == i2:
-            return fork(i1, j1, j2)
-        if j1 == j2:
-            return collider(i1, i2, j1)
-        if j1 == i2:
-            return chain(i1, j1, j2)
-        if j2 == i1:
-            return chain(i2, j2, j1)
-        return None
+        return classify_arcs(first, second)
 
     def render_ascii(self, highlight: MotifCollection | None = None) -> str:
         """Text rendering of the grid: column labels on top, one line per
@@ -89,11 +86,7 @@ class Diagram:
         motif's index tag instead of '·', so the two arcs of one motif
         share a tag.  Arcs outside every motif keep their plain dot.
         """
-        if self.n > MAX_RENDER_ORDER:
-            raise ValueError(
-                f"grid rendering supports n <= {MAX_RENDER_ORDER}; "
-                "use the JSON output for larger orders"
-            )
+        check_render_order(self.n)
         tag_of: dict[Cell, str] = {}
         if highlight is not None:
             if highlight.n != self.n:

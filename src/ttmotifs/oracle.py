@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .constructions import MotifCollection
-from .core import CHAIN, COLLIDER, FORK, MOTIF_KINDS, Motif, motif_arcs
+from .core import CHAIN, COLLIDER, FORK, MOTIF_KINDS, Motif, check_kind, check_order, iter_arcs, motif_arcs
 
 DEFAULT_MAX_NODES = 10_000_000
 
@@ -57,11 +57,6 @@ class _BudgetExhausted(Exception):
     pass
 
 
-def _check_order(n: int) -> None:
-    if n < 1:
-        raise ValueError(f"order must be at least 1, got {n}")
-
-
 def _kind_candidates(kind: str, n: int) -> list[Motif]:
     """All canonical motifs of one kind, lexicographic by vertex triple."""
     return [Motif(kind, triple) for triple in combinations(range(1, n + 1), 3)]
@@ -83,7 +78,7 @@ def _solve(n: int, candidates: list[Motif], bound_kind: str, budget: SearchBudge
     node from the arcs still free: per-centre capacities for the pure
     kinds, per-component floor(arcs/2) for the mixed search.
     """
-    arcs = [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
+    arcs = list(iter_arcs(n))
     arc_index = {arc: k for k, arc in enumerate(arcs)}
     cand = [
         (motif, arc_index[pair[0]], arc_index[pair[1]])
@@ -193,16 +188,15 @@ def _solve(n: int, candidates: list[Motif], bound_kind: str, budget: SearchBudge
 
 def max_packing(kind: str, n: int, budget: SearchBudget | None = None) -> OracleResult:
     """Maximum arc-disjoint packing of one motif kind, by exact search."""
-    if kind not in MOTIF_KINDS:
-        raise ValueError(f"unknown motif kind {kind!r}; expected one of {MOTIF_KINDS}")
-    _check_order(n)
+    check_kind(kind)
+    check_order(n)
     return _solve(n, _kind_candidates(kind, n), kind, budget or SearchBudget())
 
 
 def max_p3_packing_undirected(n: int, budget: SearchBudget | None = None) -> OracleResult:
     """Maximum packing into motifs of any kind — equivalently, the
     orientation-blind packing of K_n's edges into paths of two edges."""
-    _check_order(n)
+    check_order(n)
     return _solve(n, _all_candidates(n), "mixed", budget or SearchBudget())
 
 

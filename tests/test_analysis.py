@@ -197,6 +197,14 @@ def test_verify_reports_do_not_throw_on_garbage():
     assert MISCLASSIFIED_MOTIF in kinds and DUPLICATE_ARC in kinds
 
 
+@pytest.mark.parametrize("vertices", [(1, 2), (1, 2, 3, 4)], ids=["pair", "quadruple"])
+def test_verify_reports_vertices_that_are_not_a_triple(vertices):
+    report = verify(MotifCollection(5, (fork(1, 2, 3), Motif(CHAIN, vertices))))
+    assert not report.valid
+    assert [(v.kind, v.motifs) for v in report.violations] == [(MISCLASSIFIED_MOTIF, (1,))]
+    assert "triple" in report.violations[0].detail
+
+
 def test_verify_counts_follow_declared_tags():
     collection = MotifCollection(9, (chain(1, 2, 3), fork(4, 5, 6), fork(4, 7, 8)))
     report = verify(collection)

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ttmotifs import cli
 from ttmotifs.cli import (
     DocumentError,
     document_from_collection,
@@ -84,6 +85,19 @@ def test_decompose_diagram_rejects_large_order(capsys):
     code, out, err = run_cli(capsys, ["decompose", "--n", "120", "--strategy", "mixed", "--format", "diagram"])
     assert code == 2
     assert "JSON" in err
+
+
+def test_decompose_diagram_checks_order_before_building(capsys, monkeypatch):
+    calls = []
+
+    def build(n):
+        calls.append(n)
+        raise AssertionError("the construction must not run")
+
+    monkeypatch.setitem(cli.STRATEGIES, "mixed", build)
+    code, out, err = run_cli(capsys, ["decompose", "--n", "2000", "--strategy", "mixed", "--format", "diagram"])
+    assert (code, out, calls) == (2, "", [])
+    assert err == "error: grid rendering supports n <= 99; use the JSON output for larger orders\n"
 
 
 def test_decompose_rejects_bad_order(capsys):

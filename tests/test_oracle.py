@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import ast
 from itertools import combinations
 
 import pytest
 
 from ttmotifs.analysis import packing_number, verify
+import ttmotifs.oracle
 from ttmotifs.core import CHAIN, COLLIDER, FORK, MOTIF_KINDS, Motif, motif_arcs
 from ttmotifs.oracle import (
     OracleResult,
@@ -153,3 +155,33 @@ def test_mixed_packing_on_non_admissible_orders():
         result = max_p3_packing_undirected(n)
         assert result.exhausted
         assert result.optimum == n * (n - 1) // 2 // 2  # floor(arcs / 2)
+
+
+def _imported_names(tree: ast.Module) -> set[tuple[str, str]]:
+    """(module, name) for every import in a ttmotifs module, with
+    relative imports resolved against the package."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update((alias.name, "*") for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:
+                module = "ttmotifs" + (f".{module}" if module else "")
+            for alias in node.names:
+                if module == "ttmotifs":  # `from . import analysis`
+                    found.add((f"ttmotifs.{alias.name}", "*"))
+                else:
+                    found.add((module, alias.name))
+    return found
+
+
+def test_oracle_stays_independent_of_closed_forms_and_builders():
+    """The oracle is a cross-check only while it shares nothing with what
+    it checks: no closed form from `analysis`, and from `constructions`
+    only the `MotifCollection` container its witness comes in."""
+    with open(ttmotifs.oracle.__file__, encoding="utf-8") as handle:
+        imports = _imported_names(ast.parse(handle.read()))
+    assert not {imp for imp in imports if imp[0] == "ttmotifs.analysis"}
+    from_constructions = {name for module, name in imports if module == "ttmotifs.constructions"}
+    assert from_constructions <= {"MotifCollection"}
