@@ -119,6 +119,8 @@ def document_from_json(text: str) -> CollectionDocument:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise DocumentError("nested too deeply to decode") from exc
     if not isinstance(payload, dict):
         raise DocumentError("document must be a JSON object")
     if payload.get("schema_version") != SCHEMA_VERSION:
@@ -399,14 +401,11 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     result = max_packing(args.kind, args.n, budget)
     formula = packing_number(args.kind, args.n)
     if not result.exhausted:
-        comparison = f"INCONCLUSIVE (lower bound {result.optimum})"
-        comparison_code = "INCONCLUSIVE"
+        comparison = "INCONCLUSIVE"
     elif result.optimum == formula:
         comparison = "MATCH"
-        comparison_code = "MATCH"
     else:
         comparison = "MISMATCH"
-        comparison_code = "MISMATCH"
     if args.format == "json":
         payload = {
             "kind": args.kind,
@@ -415,7 +414,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
             "exhausted": result.exhausted,
             "nodes": result.nodes,
             "packing_number": formula,
-            "comparison": comparison_code,
+            "comparison": comparison,
         }
         if args.witness:
             payload["witness"] = [_motif_object(motif) for motif in result.witness.motifs]
@@ -428,7 +427,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         f"exhausted: {'yes' if result.exhausted else 'no'}",
         f"nodes: {result.nodes}",
         f"packing number: {formula}",
-        f"comparison: {comparison}",
+        f"comparison: {comparison}"
+        + (f" (lower bound {result.optimum})" if comparison == "INCONCLUSIVE" else ""),
     ]
     if args.witness:
         lines.append("witness:")

@@ -11,7 +11,6 @@ truncated run certifies a lower bound.
 
 from __future__ import annotations
 
-import sys
 import time
 from dataclasses import dataclass
 from itertools import combinations
@@ -35,7 +34,7 @@ class SearchBudget:
     def __post_init__(self) -> None:
         if self.max_nodes is not None and self.max_nodes <= 0:
             raise ValueError(f"max_nodes must be positive, got {self.max_nodes}")
-        if self.max_time is not None and self.max_time <= 0:
+        if self.max_time is not None and not self.max_time > 0:  # also rejects NaN
             raise ValueError(f"max_time must be positive, got {self.max_time}")
 
 
@@ -53,22 +52,9 @@ class OracleResult:
     nodes: int
 
 
-class _BudgetExhausted(Exception):
-    pass
-
-
-def _kind_candidates(kind: str, n: int) -> list[Motif]:
-    """All canonical motifs of one kind, lexicographic by vertex triple."""
-    return [Motif(kind, triple) for triple in combinations(range(1, n + 1), 3)]
-
-
-def _all_candidates(n: int) -> list[Motif]:
-    """All canonical motifs of every kind, lexicographic by (triple, kind)."""
-    return [
-        Motif(kind, triple)
-        for triple in combinations(range(1, n + 1), 3)
-        for kind in MOTIF_KINDS
-    ]
+def _candidates(n: int, kinds: tuple[str, ...]) -> list[Motif]:
+    """All canonical motifs of the given kinds, lexicographic by (triple, kind)."""
+    return [Motif(kind, triple) for triple in combinations(range(1, n + 1), 3) for kind in kinds]
 
 
 def _solve(n: int, candidates: list[Motif], bound_kind: str, budget: SearchBudget) -> OracleResult:
@@ -88,6 +74,15 @@ def _solve(n: int, candidates: list[Motif], bound_kind: str, budget: SearchBudge
     used = [False] * len(arcs)
     free_in = [0] + [t - 1 for t in range(1, n + 1)]  # 1-indexed by vertex
     free_out = [0] + [n - t for t in range(1, n + 1)]
+
+    def toggle(index: int) -> None:
+        """Take candidate `index`'s two arcs if they are free, else give them back."""
+        _, a, b = cand[index]
+        step = 1 if used[a] else -1
+        used[a] = used[b] = step < 0
+        for tail, head in (arcs[a], arcs[b]):
+            free_out[tail] += step
+            free_in[head] += step
 
     if bound_kind == CHAIN:
 
@@ -133,51 +128,34 @@ def _solve(n: int, candidates: list[Motif], bound_kind: str, budget: SearchBudge
     best = 0
     best_selection: tuple[Motif, ...] = ()
     selection: list[Motif] = []
-
-    def visit(start: int, size: int) -> None:
-        nonlocal nodes, best, best_selection
+    exhausted = True
+    # Depth first: each entry visits a node that may take the first free
+    # candidate from `start` on, after giving back candidate `release`
+    # when that node is the "without it" branch of its parent.
+    stack: list[tuple[int, int, int | None]] = [(0, 0, None)]
+    while stack:
+        start, size, release = stack.pop()
+        if release is not None:
+            toggle(release)
+            selection.pop()
         nodes += 1
         if nodes > max_nodes or (deadline is not None and time.monotonic() > deadline):
-            raise _BudgetExhausted
+            exhausted = False
+            break
         if size + bound() <= best:
-            return
+            continue
         index = start
         while index < len(cand) and (used[cand[index][1]] or used[cand[index][2]]):
             index += 1
         if index == len(cand):
-            return
-        motif, a, b = cand[index]
-        (ta, ha), (tb, hb) = arcs[a], arcs[b]
-        used[a] = used[b] = True
-        free_out[ta] -= 1
-        free_in[ha] -= 1
-        free_out[tb] -= 1
-        free_in[hb] -= 1
-        selection.append(motif)
+            continue
+        toggle(index)
+        selection.append(cand[index][0])
         if size + 1 > best:
             best = size + 1
             best_selection = tuple(selection)
-        visit(index + 1, size + 1)
-        selection.pop()
-        used[a] = used[b] = False
-        free_out[ta] += 1
-        free_in[ha] += 1
-        free_out[tb] += 1
-        free_in[hb] += 1
-        visit(index + 1, size)
-
-    depth_headroom = len(cand) + 100
-    old_limit = sys.getrecursionlimit()
-    if old_limit < depth_headroom + 1000:
-        sys.setrecursionlimit(depth_headroom + 1000)
-    exhausted = True
-    try:
-        visit(0, 0)
-    except _BudgetExhausted:
-        exhausted = False
-    finally:
-        if sys.getrecursionlimit() != old_limit:
-            sys.setrecursionlimit(old_limit)
+        stack.append((index + 1, size, index))
+        stack.append((index + 1, size + 1, None))
     return OracleResult(
         optimum=best,
         witness=MotifCollection(n, best_selection),
@@ -190,14 +168,14 @@ def max_packing(kind: str, n: int, budget: SearchBudget | None = None) -> Oracle
     """Maximum arc-disjoint packing of one motif kind, by exact search."""
     check_kind(kind)
     check_order(n)
-    return _solve(n, _kind_candidates(kind, n), kind, budget or SearchBudget())
+    return _solve(n, _candidates(n, (kind,)), kind, budget or SearchBudget())
 
 
 def max_p3_packing_undirected(n: int, budget: SearchBudget | None = None) -> OracleResult:
     """Maximum packing into motifs of any kind — equivalently, the
     orientation-blind packing of K_n's edges into paths of two edges."""
     check_order(n)
-    return _solve(n, _all_candidates(n), "mixed", budget or SearchBudget())
+    return _solve(n, _candidates(n, MOTIF_KINDS), "mixed", budget or SearchBudget())
 
 
 def pure_decomposition_exists(kind: str, n: int, budget: SearchBudget | None = None) -> bool | None:

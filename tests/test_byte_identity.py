@@ -6,6 +6,12 @@ wording, emission order or exit status shows up as a changed digest.
 The expected values were recorded from the implementation before the
 constructions, the verifier and the CLI shared their helpers, and a
 refactor must leave them untouched.
+
+The oracle groups cover n = 1..12 under a 20,000-node budget with the
+witness printed, so they pin the search node for node: its node count,
+its optimum, the witness it settles on and the verdict line, both where
+it certifies and where the budget runs out.  They were recorded from the
+recursive search before it became a loop over an explicit stack.
 """
 
 from __future__ import annotations
@@ -20,6 +26,8 @@ import pytest
 from ttmotifs.cli import main
 
 ORDERS = range(1, 41)
+ORACLE_ORDERS = range(1, 13)
+ORACLE_MAX_NODES = 20_000
 STRATEGY_NAMES = ("chain-max", "collider-max", "fork-max", "mixed")
 
 EXPECTED = {
@@ -45,6 +53,12 @@ EXPECTED = {
     ("verify", "fork-max", "json"): "a048038948997214631a5bc622ecd7cd0a93937d408dc51d637dd6e2ee39bf80",
     ("verify", "mixed", "text"): "af358190667aa83644d2e26d56ac466d2af31f01d1bd5442a0d249a64f054cff",
     ("verify", "mixed", "json"): "4d326a4ce6f5923690656c53cc4bb48378ddae620e68a769e8fbdbf236b30390",
+    ("oracle", "chain", "text"): "e6fea7e11e52563d06a0c68b3c9328e7398f1c87cfa89d7b5527c4dbaaea4ac2",
+    ("oracle", "chain", "json"): "9c9a1e313311d829007c9834c03d552a6d3896c439404e93154239b548b9fde1",
+    ("oracle", "collider", "text"): "7c55ef864fa6cd8c934f87811e972d65866682b7fd8ab4469e03c653fec42499",
+    ("oracle", "collider", "json"): "95120166ece152c0df76d91d07bcd9fc445f18123e8a86f1d56b2ae88f0acbea",
+    ("oracle", "fork", "text"): "ce878c1474686e779cebb1c3e566586e41ccfcf138cf11fa73b0316d732327ea",
+    ("oracle", "fork", "json"): "b56fb94a6c192622bf573dad619c7d9b3c276d15ca41a9107c5db625dadccade",
 }
 
 
@@ -66,6 +80,12 @@ def _decompose(strategy: str, fmt: str, n: int) -> tuple[int, str, str]:
 
 def _group_runs(group: tuple[str, ...]):
     command = group[0]
+    if command == "oracle":
+        _, kind, fmt = group
+        for n in ORACLE_ORDERS:
+            budget = ["--max-nodes", str(ORACLE_MAX_NODES)]
+            yield n, _run(["oracle", "--kind", kind, "--n", str(n), *budget, "--witness", "--format", fmt])
+        return
     for n in ORDERS:
         if command == "decompose":
             _, strategy, fmt = group
@@ -91,6 +111,7 @@ GROUPS = (
     [("decompose", s, f) for s in STRATEGY_NAMES for f in ("text", "json", "diagram")]
     + [("counts", f) for f in ("text", "json")]
     + [("verify", s, f) for s in STRATEGY_NAMES for f in ("text", "json")]
+    + [("oracle", k, f) for k in ("chain", "collider", "fork") for f in ("text", "json")]
 )
 
 

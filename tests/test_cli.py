@@ -223,6 +223,15 @@ def test_verify_malformed_documents(capsys, monkeypatch):
         assert "malformed" in err
 
 
+def test_verify_deeply_nested_document_exits_2(capsys, monkeypatch):
+    # Too deep for the JSON decoder: a malformed document, not a crash.
+    text = "[" * 200_000 + "]" * 200_000
+    code, out, err = run_cli(capsys, ["verify"], stdin_text=text, monkeypatch=monkeypatch)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: malformed document: ")
+
+
 def test_verify_coverage_gap_on_wrong_declared_kind(capsys, monkeypatch):
     # A single chain over TT_3 covers only 2 of 3 arcs yet claims otherwise.
     text = _document_text(3, "decomposition", [{"type": "chain", "vertices": [1, 2, 3]}], [])

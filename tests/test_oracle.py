@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import ast
+import hashlib
+import sys
 from itertools import combinations
 
 import pytest
@@ -102,6 +104,8 @@ def test_budget_must_be_positive():
         SearchBudget(max_nodes=0)
     with pytest.raises(ValueError):
         SearchBudget(max_time=-1.0)
+    with pytest.raises(ValueError):
+        SearchBudget(max_time=float("nan"))
     unlimited = SearchBudget(max_nodes=None, max_time=None)
     assert unlimited.max_nodes is None and unlimited.max_time is None
 
@@ -155,6 +159,39 @@ def test_mixed_packing_on_non_admissible_orders():
         result = max_p3_packing_undirected(n)
         assert result.exhausted
         assert result.optimum == n * (n - 1) // 2 // 2  # floor(arcs / 2)
+
+
+# sha256 over n = 1..12 of max_p3_packing_undirected under a 20,000-node
+# budget, recorded from the recursive search before it became a loop over
+# an explicit stack.  The CLI cannot reach the mixed search, so this pins
+# it node for node the way tests/test_byte_identity.py pins the pure kinds.
+MIXED_SEARCH_DIGEST = "b8154212ac6cd837e05cf79552149546d4a43d38732937fbb37bc27d751c4207"
+
+
+def _mixed_search_digest() -> str:
+    digest = hashlib.sha256()
+    for n in range(1, 13):
+        result = max_p3_packing_undirected(n, SearchBudget(max_nodes=20_000))
+        digest.update(f"n={n}\0{result.optimum}\0{result.exhausted}\0{result.nodes}\0".encode())
+        for motif in result.witness.motifs:
+            digest.update(f"{motif.kind}{motif.vertices}\0".encode())
+    return digest.hexdigest()
+
+
+def test_mixed_search_is_node_for_node_unchanged():
+    assert _mixed_search_digest() == MIXED_SEARCH_DIGEST
+
+
+def test_search_leaves_the_recursion_limit_alone(monkeypatch):
+    limit = sys.getrecursionlimit()
+    calls = []
+    monkeypatch.setattr(sys, "setrecursionlimit", calls.append)
+    for kind in MOTIF_KINDS:
+        max_packing(kind, 8)
+    max_packing(FORK, 40, SearchBudget(max_nodes=2000))
+    max_p3_packing_undirected(5)
+    assert calls == []
+    assert sys.getrecursionlimit() == limit
 
 
 def _imported_names(tree: ast.Module) -> set[tuple[str, str]]:
