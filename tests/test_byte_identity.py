@@ -18,12 +18,16 @@ from __future__ import annotations
 
 import hashlib
 import io
+import json
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+from ttmotifs.analysis import verify
 from ttmotifs.cli import main
+from ttmotifs.constructions import MotifCollection
+from ttmotifs.core import Motif
 
 ORDERS = range(1, 41)
 ORACLE_ORDERS = range(1, 13)
@@ -118,3 +122,190 @@ GROUPS = (
 @pytest.mark.parametrize("group", GROUPS, ids=lambda g: "-".join(g))
 def test_cli_output_is_byte_identical(group):
     assert group_digest(group) == EXPECTED[group]
+
+
+# --- verify on hostile documents ---------------------------------------------
+#
+# Recorded from the verifier and codec before they keyed arcs by one
+# integer and checked types inline, so these pin every violation line,
+# its order, every malformed-document message and every exit code on
+# documents the constructions never emit.
+
+HOSTILE_ORDERS = (8, 9, 10, 11)  # every residue mod 4
+HOSTILE_SITES = (0.0, 0.5, 0.999)  # first, middle and last motif
+CONTENT_MUTATIONS = (
+    "retag", "duplicate", "out_of_range", "wrong_kind", "wrong_unused",
+    "unused_same_count", "unused_reversed", "unused_foreign", "unused_repeated",
+)
+
+
+def _mutate(document: str, mutation: str, site: float) -> str:
+    """One content defect in a decompose JSON document."""
+    payload = json.loads(document)
+    motifs = payload["motifs"]
+    target = motifs[int(site * len(motifs))]
+    n = payload["n"]
+    unused = payload["unused_arcs"]
+    if mutation == "retag":
+        kinds = ("chain", "collider", "fork")
+        target["type"] = kinds[(kinds.index(target["type"]) + 1) % 3]
+    elif mutation == "duplicate":
+        motifs.append(dict(target))
+    elif mutation == "out_of_range":
+        target["vertices"][2] = n + 1
+    elif mutation == "wrong_kind":
+        payload["kind"] = "packing" if payload["kind"] == "decomposition" else "decomposition"
+    elif mutation == "wrong_unused":
+        payload["unused_arcs"] = [] if unused else [[1, 2]]
+    elif mutation == "unused_same_count":  # a covered arc in place of the free one
+        a, b, c = target["vertices"]
+        payload["unused_arcs"] = [[a, b] if target["type"] != "collider" else [a, c]] + unused[1:]
+    elif mutation == "unused_reversed":
+        payload["unused_arcs"] = [[j, i] for i, j in unused] or [[2, 1]]
+    elif mutation == "unused_foreign":
+        payload["unused_arcs"] = [[0, 1], [n, n + 1], [3, 3]]
+    elif mutation == "unused_repeated":
+        payload["unused_arcs"] = unused + unused if unused else [[1, 2], [1, 2]]
+    return json.dumps(payload)
+
+
+def _doc(n: int, kind: str, motifs: list, unused: list, **extra) -> str:
+    payload = {"schema_version": "1", "n": n, "kind": kind, "motifs": motifs, "unused_arcs": unused}
+    payload.update(extra)
+    return json.dumps(payload)
+
+
+def _m(kind: str, *vertices) -> dict:
+    return {"type": kind, "vertices": list(vertices)}
+
+
+def _hostile_documents(group: str):
+    if group == "content":
+        for strategy in STRATEGY_NAMES:
+            for n in HOSTILE_ORDERS:
+                _, document, _ = _decompose(strategy, "json", n)
+                for mutation in CONTENT_MUTATIONS:
+                    for site in HOSTILE_SITES:
+                        yield _mutate(document, mutation, site)
+    elif group == "shape":
+        for strategy in STRATEGY_NAMES:
+            for n in (6, 7, 10, 11, 14, 15):  # packings: n = 2, 3 (mod 4)
+                _, document, _ = _decompose(strategy, "json", n)
+                yield document
+                payload = json.loads(document)
+                for site in HOSTILE_SITES:
+                    swapped = json.loads(document)
+                    target = swapped["motifs"][int(site * len(swapped["motifs"]))]
+                    target["vertices"] = target["vertices"][::-1]
+                    yield json.dumps(swapped)
+                    tripled = json.loads(document)
+                    target = tripled["motifs"][int(site * len(tripled["motifs"]))]
+                    tripled["motifs"] += [dict(target), dict(target)]
+                    yield json.dumps(tripled)
+                payload["unused_arcs"] = []
+                yield json.dumps(payload)
+        yield _doc(5, "packing", [_m("chain", 1, 2, 3), _m("fork", 1, 2, 4), _m("fork", 1, 2, 5)], [])
+        yield _doc(5, "packing", [_m("fork", 1, 2, 5), _m("chain", 1, 2, 3), _m("fork", 1, 2, 4)], [[3, 4]])
+        yield _doc(4, "packing", [_m("collider", 1, 3, 4), _m("chain", 2, 3, 4), _m("fork", 3, 1, 4)], [])
+        yield _doc(6, "packing", [_m("chain", 3, 3, 4), _m("collider", 0, 1, 2), _m("fork", 5, 6, 7)], [])
+        yield _doc(6, "packing", [_m("chain", 2, 1, 3), _m("collider", 4, 3, 5), _m("fork", 6, 5, 4)], [[1, 2]])
+        yield _doc(3, "decomposition", [_m("chain", 1, 2, 3)], [])
+        yield _doc(3, "packing", [_m("chain", 1, 2, 3)], [[1, 3]])
+        yield _doc(2, "packing", [], [[1, 2]])
+        yield _doc(2, "decomposition", [], [])
+        yield _doc(1, "decomposition", [], [])
+        yield _doc(1, "packing", [], [[1, 1]])
+        yield _doc(9, "packing", [_m("chain", 1, 2, 3)] * 4, [[1, 2]] * 3, extra_field=True)
+        yield _doc(12, "packing", [_m("fork", -3, 2, 99), _m("collider", 10, 11, 13)], [[13, 14], [-1, 2]])
+        yield _doc(600, "packing", [_m("chain", 598, 599, 600)], [])
+    else:  # malformed: exit 2 with the decoder's message
+        yield "{not json"
+        yield ""
+        yield "[1, 2, 3]"
+        yield "null"
+        yield json.dumps({"n": 8})
+        yield json.dumps({"schema_version": 1, "n": 8, "kind": "packing", "motifs": [], "unused_arcs": []})
+        yield json.dumps({"schema_version": "1", "kind": "packing", "motifs": [], "unused_arcs": []})
+        yield json.dumps({"schema_version": "1", "n": 8, "motifs": [], "unused_arcs": []})
+        yield json.dumps({"schema_version": "1", "n": 8, "kind": "packing", "unused_arcs": []})
+        yield json.dumps({"schema_version": "1", "n": 8, "kind": "packing", "motifs": []})
+        for n in ("8", 8.0, True, None, 0, -5):
+            yield _doc(n, "packing", [], [])
+        for kind in ("socks", None, 3, ["packing"]):
+            yield _doc(8, kind, [], [])
+        yield _doc(8, "packing", {"0": _m("chain", 1, 2, 3)}, [])
+        yield _doc(8, "packing", [_m("chain", 1, 2, 3)], {"0": [1, 3]})
+        for entry in (
+            [1, 2, 3], "chain", None,
+            {"vertices": [1, 2, 3]}, {"type": "triangle", "vertices": [1, 2, 3]},
+            {"type": None, "vertices": [1, 2, 3]}, {"type": "chain"},
+            {"type": "chain", "vertices": [1, 2]}, {"type": "chain", "vertices": [1, 2, 3, 4]},
+            {"type": "chain", "vertices": (1, 2, 3)}, {"type": "chain", "vertices": "123"},
+            {"type": "chain", "vertices": [1, 2, "3"]}, {"type": "chain", "vertices": [1, 2.0, 3]},
+            {"type": "chain", "vertices": [True, 2, 3]}, {"type": "chain", "vertices": [1, None, 3]},
+            {"type": "fork", "vertices": [1, 2, [3]]}, {"type": "collider", "vertices": [1, 2, 3.5]},
+        ):
+            yield _doc(8, "packing", [_m("chain", 1, 2, 3), entry], [])
+        for entry in ([1], [1, 2, 3], (1, 2), "12", None, [1, True], [1.0, 2], ["1", 2], [1, None]):
+            yield _doc(8, "packing", [_m("chain", 1, 2, 3)], [[4, 5], entry])
+        yield '{"schema_version": "1", "n": 8, "kind": "packing", "motifs": [], "unused_arcs": [], "n": NaN}'
+        yield '{"schema_version": "1", "n": 8, "kind": "packing", "motifs": [{"type": "chain", "vertices": [1, 2, Infinity]}], "unused_arcs": []}'
+        yield '{"schema_version": "1", "n": 8, "kind": "packing", "motifs": [], "unused_arcs": []} trailing'
+        yield "[" * 5000 + "]" * 5000
+
+
+HOSTILE_GROUPS = ("content", "shape", "malformed")
+
+
+def hostile_digest(group: str, fmt: str) -> str:
+    digest = hashlib.sha256()
+    for index, document in enumerate(_hostile_documents(group)):
+        code, out, err = _run(["verify", "--format", fmt], stdin_text=document)
+        digest.update(f"doc={index}\0code={code}\0".encode())
+        digest.update(out.encode() + b"\0" + err.encode() + b"\0")
+    return digest.hexdigest()
+
+
+def _library_collections():
+    """Collections only the library can build: the document decoder
+    refuses unknown kinds and anything but three integer vertices."""
+    base = (Motif("chain", (1, 2, 3)), Motif("fork", (1, 4, 5)))
+    for odd in ("triangle", "", None, 7):
+        yield MotifCollection(5, base + (Motif(odd, (2, 4, 5)),))
+        yield MotifCollection(5, (Motif(odd, (1, 2, 3)),) + base)
+    for vertices in ((1, 2), (1, 2, 3, 4), (), None, 5):
+        yield MotifCollection(5, base + (Motif("collider", vertices),))
+        yield MotifCollection(5, (Motif("chain", vertices),) + base + base)
+    yield MotifCollection(6, (
+        Motif("triangle", (1, 2, 3)), Motif("chain", (1, 2)), Motif("fork", (2, 1, 3)),
+        Motif("chain", (1, 2, 3)), Motif("chain", (1, 2, 3)), Motif("collider", (0, 2, 3)),
+        Motif("fork", (1, 2, 3)), Motif("collider", (1, 2, 3)),
+    ))
+
+
+def library_digest() -> str:
+    digest = hashlib.sha256()
+    for collection in _library_collections():
+        digest.update(repr(verify(collection)).encode() + b"\0")
+    return digest.hexdigest()
+
+
+HOSTILE_EXPECTED = {
+    ("content", "text"): "50c85ecf7e7dd67aada2658db13c9f16446efe8106cf8ca01cd738313864dcbc",
+    ("content", "json"): "b1faf42803fba88f86bf500c6bf66a680040abf9f849e20a458b4bdddfcc14cd",
+    ("shape", "text"): "10607ea9aae9ec5cae576e354c48666c64f2a87c990e382d99f5161db726f67a",
+    ("shape", "json"): "643a951498ab79f4659e9d82e23ff2add514cc5082f691cf565f9f0224b42a5c",
+    ("malformed", "text"): "eefe1c5dc5f2f07fbce1e24305eb041fa22671eb992c821807f47c70257415f4",
+    ("malformed", "json"): "708460fb9655b6e51077bbc76e977db86d85f04eeb5e95663449876f9d05590e",
+    "library": "a5e1792a40033662661b77b61c5e489dee3f500e5019ef28e55c31bda28f8d10",
+}
+
+
+@pytest.mark.parametrize("fmt", ("text", "json"))
+@pytest.mark.parametrize("group", HOSTILE_GROUPS)
+def test_verify_on_hostile_documents_is_byte_identical(group, fmt):
+    assert hostile_digest(group, fmt) == HOSTILE_EXPECTED[group, fmt]
+
+
+def test_verify_report_on_library_only_collections_is_unchanged():
+    assert library_digest() == HOSTILE_EXPECTED["library"]
