@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .constructions import MotifCollection, MotifCounts
-from .core import CHAIN, COLLIDER, MOTIF_KINDS, Arc, check_kind, check_order, classify_arcs, motif_arcs
+from .core import CHAIN, COLLIDER, FORK, MOTIF_KINDS, Arc, check_kind, check_order, motif_arc_ends
 
 DUPLICATE_ARC = "duplicate_arc"
 FOREIGN_ARC = "foreign_arc"
@@ -120,30 +120,38 @@ class VerificationReport:
 def verify(collection: MotifCollection) -> VerificationReport:
     """Check a collection bottom-up, trusting nothing about its origin.
 
-    Each motif must be canonical (strictly ascending vertices whose
-    derived kind matches its tag) and must use only arcs of TT_n; across
-    motifs every arc may appear at most once.
+    Each motif must be canonical (three int vertices, strictly ascending,
+    whose kind re-derived from the two arcs matches its tag) and must use
+    only arcs of TT_n; across motifs every arc may appear at most once.
+    An arc (tail, head) is keyed by the int tail*(n+1)+head, which sorts
+    like the pair, and a list of users is built only for an arc that is
+    used twice.
     """
     n = collection.n
+    stride = n + 1
     violations: list[Violation] = []
-    arc_users: dict[Arc, list[int]] = {}
-    for index, motif in enumerate(collection.motifs):
-        if motif.kind not in MOTIF_KINDS:
+    first_user: dict[int, int] = {}
+    shared: dict[int, list[int]] = {}
+    claim = first_user.setdefault
+    for index, (kind, vertices) in enumerate(collection.motifs):
+        if kind not in MOTIF_KINDS:
             violations.append(
                 Violation(
                     MISCLASSIFIED_MOTIF,
-                    f"motif {index} has unknown kind {motif.kind!r}",
+                    f"motif {index} has unknown kind {kind!r}",
                     motifs=(index,),
                 )
             )
             continue
-        try:
-            a, b, c = motif.vertices
-        except (TypeError, ValueError):
+        if type(vertices) is tuple and len(vertices) == 3:
+            a, b, c = vertices
+        else:
+            a = b = c = None
+        if not (type(a) is int and type(b) is int and type(c) is int):
             violations.append(
                 Violation(
                     MISCLASSIFIED_MOTIF,
-                    f"motif {index} vertices {motif.vertices!r} are not a vertex triple",
+                    f"motif {index} vertices {vertices!r} are not a vertex triple",
                     motifs=(index,),
                 )
             )
@@ -166,31 +174,42 @@ def verify(collection: MotifCollection) -> VerificationReport:
                 )
             )
             continue
-        first, second = motif_arcs(motif)
-        if classify_arcs(first, second) != motif:
+        tail1, head1, tail2, head2 = motif_arc_ends(kind, a, b, c)
+        # Two distinct arcs of TT_n that share a vertex share exactly one.
+        if head1 == tail2:
+            derived = CHAIN
+        elif head1 == head2:
+            derived = COLLIDER
+        elif tail1 == tail2:
+            derived = FORK
+        else:
+            derived = None
+        if derived != kind:
             violations.append(
                 Violation(
                     MISCLASSIFIED_MOTIF,
-                    f"motif {index} arcs {first}, {second} re-classify to a different motif",
+                    f"motif {index} arcs ({tail1}, {head1}), ({tail2}, {head2}) "
+                    "re-classify to a different motif",
                     motifs=(index,),
                 )
             )
             continue
-        arc_users.setdefault(first, []).append(index)
-        arc_users.setdefault(second, []).append(index)
-    for arc in sorted(arc_users):
-        users = arc_users[arc]
-        if len(users) > 1:
-            violations.append(
-                Violation(
-                    DUPLICATE_ARC,
-                    f"duplicate arc ({arc[0]},{arc[1]})",
-                    motifs=tuple(users),
-                    arc=arc,
-                )
+        for key in (tail1 * stride + head1, tail2 * stride + head2):
+            user = claim(key, index)
+            if user != index:
+                shared.setdefault(key, [user]).append(index)
+    for key in sorted(shared):
+        arc = divmod(key, stride)
+        violations.append(
+            Violation(
+                DUPLICATE_ARC,
+                f"duplicate arc ({arc[0]},{arc[1]})",
+                motifs=tuple(shared[key]),
+                arc=arc,
             )
+        )
     valid = not violations
-    covers_everything = len(arc_users) == n * (n - 1) // 2
+    covers_everything = len(first_user) == n * (n - 1) // 2
     return VerificationReport(
         n=n,
         valid=valid,

@@ -14,6 +14,7 @@ import argparse
 import json
 import re
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from typing import Any
 
@@ -73,16 +74,12 @@ def document_from_collection(collection: MotifCollection) -> CollectionDocument:
     )
 
 
-def _json_block(key: str, items: list[str], last: bool = False) -> list[str]:
+def _json_block(key: str, items: list[str], last: bool = False) -> str:
     """An indented JSON array field with one item per line."""
     comma = "" if last else ","
     if not items:
-        return [f'  "{key}": []{comma}']
-    lines = [f'  "{key}": [']
-    lines.extend(f"    {item}," for item in items[:-1])
-    lines.append(f"    {items[-1]}")
-    lines.append(f"  ]{comma}")
-    return lines
+        return f'  "{key}": []{comma}'
+    return f'  "{key}": [\n    ' + ",\n    ".join(items) + f"\n  ]{comma}"
 
 
 def _motif_object(motif: Motif) -> dict[str, Any]:
@@ -91,15 +88,20 @@ def _motif_object(motif: Motif) -> dict[str, Any]:
 
 
 def document_to_json(document: CollectionDocument) -> str:
-    motifs = [json.dumps(_motif_object(motif)) for motif in document.motifs]
-    unused = [json.dumps(list(arc)) for arc in document.unused_arcs]
+    # One f-string per motif writes what json.dumps(_motif_object(motif))
+    # would, for the three kind names and int vertices.
+    motifs = [
+        f'{{"type": "{kind}", "vertices": [{a}, {b}, {c}]}}'
+        for kind, (a, b, c) in document.motifs
+    ]
+    unused = [f"[{tail}, {head}]" for tail, head in document.unused_arcs]
     lines = [
         "{",
         f'  "schema_version": {json.dumps(SCHEMA_VERSION)},',
         f'  "n": {document.n},',
         f'  "kind": {json.dumps(document.kind)},',
-        *_json_block("motifs", motifs),
-        *_json_block("unused_arcs", unused, last=True),
+        _json_block("motifs", motifs),
+        _json_block("unused_arcs", unused, last=True),
         "}",
     ]
     return "\n".join(lines) + "\n"
@@ -111,16 +113,46 @@ def _expect_int(value: Any, what: str) -> int:
     return value
 
 
+def _motif_hook(entry: dict[str, Any]) -> Any:
+    """Object hook for json.loads: an object that passes every check
+    `_document_from_payload` makes of a motif entry becomes its Motif as
+    soon as it is decoded, so its dict and vertex list never pile up.
+    json.loads builds only plain dicts, lists, strs and ints, so exact
+    type tests suffice."""
+    motif_type = entry.get("type")
+    vertices = entry.get("vertices")
+    if motif_type in MOTIF_KINDS and type(vertices) is list and len(vertices) == 3:
+        a, b, c = vertices
+        if type(a) is int and type(b) is int and type(c) is int:
+            return Motif(motif_type, (a, b, c))
+    return entry
+
+
+def _decode(text: str, object_hook: Callable[[dict[str, Any]], Any] | None = None) -> Any:
+    try:
+        return json.loads(text, object_hook=object_hook)
+    except json.JSONDecodeError as exc:
+        raise DocumentError(f"not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise DocumentError("nested too deeply to decode") from exc
+    except ValueError as exc:  # e.g. an integer literal over the interpreter's digit limit
+        raise DocumentError(f"cannot decode: {exc}") from exc
+
+
 def document_from_json(text: str) -> CollectionDocument:
     """Parse and structurally validate a document; content problems
     (bad canonical form, duplicate arcs, wrong declared kind) are left
     for verification."""
     try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DocumentError(f"not valid JSON: {exc}") from exc
-    except RecursionError as exc:
-        raise DocumentError("nested too deeply to decode") from exc
+        return _document_from_payload(_decode(text, _motif_hook))
+    except DocumentError:
+        # The hook also turns motif-shaped objects outside the motif
+        # list into Motifs.  Decode again without it, so that every
+        # message shows the values as the document wrote them.
+        return _document_from_payload(_decode(text))
+
+
+def _document_from_payload(payload: Any) -> CollectionDocument:
     if not isinstance(payload, dict):
         raise DocumentError("document must be a JSON object")
     if payload.get("schema_version") != SCHEMA_VERSION:
@@ -141,6 +173,9 @@ def document_from_json(text: str) -> CollectionDocument:
         raise DocumentError("motifs must be a list")
     motifs: list[Motif] = []
     for position, entry in enumerate(raw_motifs):
+        if type(entry) is Motif:  # decoded by _motif_hook
+            motifs.append(entry)
+            continue
         if not isinstance(entry, dict):
             raise DocumentError(f"motif {position} must be an object")
         motif_type = entry.get("type")
@@ -204,24 +239,25 @@ def parse_motif_line(line: str) -> Motif:
 def _verify_document(document: CollectionDocument, collection: MotifCollection) -> VerificationReport:
     """Verify the document's motifs, then hold its declared fields
     against the ones derived from them.  Each disagreement is a coverage
-    gap that makes the report invalid."""
+    gap that makes the report invalid.  Nothing here lists the unused
+    arcs of TT_n, so the work is bounded by the document's size."""
     report = verify(collection)
-    derived = document_from_collection(collection)
-    declared_unused = tuple(sorted(document.unused_arcs))
+    actual_unused = collection.unused_arc_count
     findings: list[Violation] = []
-    if declared_unused != derived.unused_arcs:
+    if not collection.lists_unused_arcs(document.unused_arcs):
         findings.append(
             Violation(
                 COVERAGE_GAP,
                 "declared unused_arcs disagree with the arcs actually left uncovered "
-                f"(declared {len(declared_unused)}, actual {len(derived.unused_arcs)})",
+                f"(declared {len(document.unused_arcs)}, actual {actual_unused})",
             )
         )
-    if document.kind != derived.kind:
+    derived_kind = KIND_PACKING if actual_unused else KIND_DECOMPOSITION
+    if document.kind != derived_kind:
         findings.append(
             Violation(
                 COVERAGE_GAP,
-                f"document declares a {document.kind} but the motifs form a {derived.kind}",
+                f"document declares a {document.kind} but the motifs form a {derived_kind}",
             )
         )
     if not findings:
@@ -249,7 +285,7 @@ def _report_text(report: VerificationReport, collection: MotifCollection) -> str
         f"n: {report.n}",
         f"motifs: {len(collection.motifs)}",
         f"counts: chains {report.counts.chains}, colliders {report.counts.colliders}, forks {report.counts.forks}",
-        f"unused arcs: {len(collection.unused_arcs)}",
+        f"unused arcs: {collection.unused_arc_count}",
         f"valid: {'yes' if report.valid else 'no'}",
         f"decomposition: {'yes' if report.is_decomposition else 'no'}",
     ]
@@ -267,7 +303,7 @@ def _report_json(report: VerificationReport, collection: MotifCollection) -> str
             "colliders": report.counts.colliders,
             "forks": report.counts.forks,
         },
-        "unused_arcs": len(collection.unused_arcs),
+        "unused_arcs": collection.unused_arc_count,
         "valid": report.valid,
         "is_decomposition": report.is_decomposition,
         "violations": [

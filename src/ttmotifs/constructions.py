@@ -11,17 +11,20 @@ exactly for n = 2, 3 (mod 4).
 
 Every construction is a pure function of n, and emission order is the
 construction's own sweep order, so repeated calls
-produce identical motif lists.
+produce identical motif lists.  The builders emit each motif with its
+triple already ascending, so they build `Motif` directly rather than
+through the checking constructors of `ttmotifs.core`; `decompose` runs
+`ttmotifs.analysis.verify` on every result all the same.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
-from .core import CHAIN, COLLIDER, FORK, Arc, Motif, chain, check_order, collider, fork, iter_arcs, motif_arcs
+from .core import CHAIN, COLLIDER, FORK, Arc, Motif, check_order, motif_arc_ends, motif_arcs
 
 
 class MotifCounts(NamedTuple):
@@ -52,10 +55,61 @@ class MotifCollection:
         return frozenset(arc for motif in self.motifs for arc in motif_arcs(motif))
 
     @cached_property
+    def _covered(self) -> set[int]:
+        """Arcs of TT_n in at least one motif, each (tail, head) stored as
+        the int tail*(n+1)+head.  Arcs outside TT_n and vertices that are
+        not ints cover nothing."""
+        n = self.n
+        stride = n + 1
+        covered: set[int] = set()
+        add = covered.add
+        for kind, (a, b, c) in self.motifs:
+            tail1, head1, tail2, head2 = motif_arc_ends(kind, a, b, c)
+            if type(a) is int and type(b) is int and type(c) is int:
+                if 1 <= tail1 < head1 <= n:
+                    add(tail1 * stride + head1)
+                if 1 <= tail2 < head2 <= n:
+                    add(tail2 * stride + head2)
+        return covered
+
+    @cached_property
+    def unused_arc_count(self) -> int:
+        """How many arcs of TT_n are in no motif, without listing them."""
+        return self.n * (self.n - 1) // 2 - len(self._covered)
+
+    @cached_property
     def unused_arcs(self) -> frozenset[Arc]:
         """Arcs of TT_n in no motif."""
-        used = self.used_arcs
-        return frozenset(arc for arc in iter_arcs(self.n) if arc not in used)
+        if not self.unused_arc_count:
+            return frozenset()
+        n = self.n
+        stride = n + 1
+        covered = self._covered
+        return frozenset(
+            (tail, head)
+            for tail in range(1, n)
+            for head in range(tail + 1, n + 1)
+            if tail * stride + head not in covered
+        )
+
+    def lists_unused_arcs(self, arcs: Sequence[Arc]) -> bool:
+        """True iff `arcs` holds each unused arc of TT_n once, in any
+        order.  The length is compared first, so the work is bounded by
+        len(arcs), never by the size of TT_n."""
+        if len(arcs) != self.unused_arc_count:
+            return False
+        n = self.n
+        stride = n + 1
+        covered = self._covered
+        seen: set[int] = set()
+        for tail, head in arcs:
+            if not (type(tail) is int and type(head) is int and 1 <= tail < head <= n):
+                return False
+            key = tail * stride + head
+            if key in covered or key in seen:
+                return False
+            seen.add(key)
+        return True
 
     @cached_property
     def counts(self) -> MotifCounts:
@@ -85,7 +139,7 @@ def construct_mixed(n: int) -> MotifCollection:
     check_order(n)
     motifs: list[Motif] = []
     for m in range(1, (n - 1) // 2 + 1):
-        motifs.append(chain(2 * m - 1, 2 * m, 2 * m + 1))
+        motifs.append(Motif(CHAIN, (2 * m - 1, 2 * m, 2 * m + 1)))
     leftover_rows: list[int] = []
     for i in range(1, n):
         if i <= n - 2:
@@ -94,10 +148,10 @@ def construct_mixed(n: int) -> MotifCollection:
             cols = [n]  # odd diagonal count: dot (n-1, n) survives the chains
         else:
             cols = []
-        motifs.extend(fork(i, b, c) for b, c in _pairs(cols))
+        motifs.extend(Motif(FORK, (i, b, c)) for b, c in _pairs(cols))
         if len(cols) % 2 == 1:
             leftover_rows.append(i)  # the unpaired dot is (i, n)
-    motifs.extend(collider(a, b, n) for a, b in _pairs(leftover_rows))
+    motifs.extend(Motif(COLLIDER, (a, b, n)) for a, b in _pairs(leftover_rows))
     return MotifCollection(n, tuple(motifs))
 
 
@@ -115,12 +169,12 @@ def construct_chain_max(n: int) -> MotifCollection:
     mid = (n + 2) // 2  # smallest high centre
     for t in range(n - 1, mid - 1, -1):
         for i in range(1, n - t + 1):
-            motifs.append(chain(i, t, i + t))
+            motifs.append(Motif(CHAIN, (i, t, i + t)))
     for t in range(mid - 1, 1, -1):
         for i in range(1, t):
-            motifs.append(chain(i, t, n - i))
+            motifs.append(Motif(CHAIN, (i, t, n - i)))
     tails = range(1, mid) if n >= 2 else ()
-    motifs.extend(collider(a, b, n) for a, b in _pairs(tails))
+    motifs.extend(Motif(COLLIDER, (a, b, n)) for a, b in _pairs(tails))
     return MotifCollection(n, tuple(motifs))
 
 
@@ -136,10 +190,10 @@ def construct_collider_max(n: int) -> MotifCollection:
     unpaired_heads: list[int] = []
     for j in range(2, n + 1):
         rows = range(j - 1, 0, -1)
-        motifs.extend(collider(a, b, j) for a, b in _pairs(rows))
+        motifs.extend(Motif(COLLIDER, (b, a, j)) for a, b in _pairs(rows))  # a > b
         if len(rows) % 2 == 1:
             unpaired_heads.append(j)  # the unpaired dot is (1, j)
-    motifs.extend(fork(1, b, c) for b, c in _pairs(unpaired_heads))
+    motifs.extend(Motif(FORK, (1, b, c)) for b, c in _pairs(unpaired_heads))
     return MotifCollection(n, tuple(motifs))
 
 
@@ -155,10 +209,10 @@ def construct_fork_max(n: int) -> MotifCollection:
     unpaired_tails: list[int] = []
     for i in range(1, n):
         cols = range(i + 1, n + 1)
-        motifs.extend(fork(i, b, c) for b, c in _pairs(cols))
+        motifs.extend(Motif(FORK, (i, b, c)) for b, c in _pairs(cols))
         if len(cols) % 2 == 1:
             unpaired_tails.append(i)  # the unpaired dot is (i, n)
-    motifs.extend(collider(a, b, n) for a, b in _pairs(unpaired_tails))
+    motifs.extend(Motif(COLLIDER, (a, b, n)) for a, b in _pairs(unpaired_tails))
     return MotifCollection(n, tuple(motifs))
 
 

@@ -85,16 +85,24 @@ def fork(tail: int, head_a: int, head_b: int) -> Motif:
     return Motif(FORK, (tail, b, c))
 
 
+def motif_arc_ends(kind: str, a: int, b: int, c: int) -> tuple[int, int, int, int]:
+    """(tail, head, tail, head) of the two arcs of a kind-motif on the
+    triple (a, b, c), as plain ints for the callers that key arcs by
+    number instead of building them."""
+    if kind == CHAIN:
+        return a, b, b, c
+    if kind == COLLIDER:
+        return a, c, b, c
+    if kind == FORK:
+        return a, b, a, c
+    raise ValueError(f"unknown motif kind {kind!r}")
+
+
 def motif_arcs(motif: Motif) -> tuple[Arc, Arc]:
     """The two arcs of a canonical motif."""
     a, b, c = motif.vertices
-    if motif.kind == CHAIN:
-        return (a, b), (b, c)
-    if motif.kind == COLLIDER:
-        return (a, c), (b, c)
-    if motif.kind == FORK:
-        return (a, b), (a, c)
-    raise ValueError(f"unknown motif kind {motif.kind!r}")
+    tail1, head1, tail2, head2 = motif_arc_ends(motif.kind, a, b, c)
+    return (tail1, head1), (tail2, head2)
 
 
 def motif_center(motif: Motif) -> int:

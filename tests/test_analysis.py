@@ -205,6 +205,28 @@ def test_verify_reports_vertices_that_are_not_a_triple(vertices):
     assert "triple" in report.violations[0].detail
 
 
+@pytest.mark.parametrize(
+    "vertices", [(1.0, 2, 3), (1, 2.5, 4), (True, 2, 3), [1, 2, 3]], ids=["float", "fraction", "bool", "list"]
+)
+def test_verify_reports_vertices_that_are_not_ints(vertices):
+    # A vertex of TT_n is an int; 1.0 or True would otherwise pass for vertex 1.
+    report = verify(MotifCollection(5, (fork(1, 2, 3), Motif(CHAIN, vertices))))
+    assert not report.valid
+    assert [(v.kind, v.motifs) for v in report.violations] == [(MISCLASSIFIED_MOTIF, (1,))]
+    assert "not a vertex triple" in report.violations[0].detail
+
+
+def test_verify_lists_every_user_of_a_shared_arc_in_order():
+    motifs = (chain(1, 2, 3), fork(1, 2, 4), chain(3, 4, 5), fork(1, 2, 5), collider(1, 4, 5))
+    report = verify(MotifCollection(5, motifs))
+    assert [(v.kind, v.arc, v.motifs) for v in report.violations] == [
+        (DUPLICATE_ARC, (1, 2), (0, 1, 3)),
+        (DUPLICATE_ARC, (1, 5), (3, 4)),
+        (DUPLICATE_ARC, (4, 5), (2, 4)),
+    ]
+    assert report.violations[0].detail == "duplicate arc (1,2)"
+
+
 def test_verify_counts_follow_declared_tags():
     collection = MotifCollection(9, (chain(1, 2, 3), fork(4, 5, 6), fork(4, 7, 8)))
     report = verify(collection)

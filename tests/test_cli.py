@@ -4,15 +4,21 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import subprocess
 import sys
+import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ttmotifs
 from ttmotifs import cli
 from ttmotifs.cli import (
+    CollectionDocument,
     DocumentError,
     document_from_collection,
     document_from_json,
@@ -232,6 +238,60 @@ def test_verify_deeply_nested_document_exits_2(capsys, monkeypatch):
     assert err.startswith("error: malformed document: ")
 
 
+def test_verify_integer_over_the_digit_limit_is_malformed(capsys, monkeypatch):
+    # json.loads refuses integer literals over the interpreter's digit
+    # limit (4,300 by default) with a plain ValueError.
+    text = _document_text(8, "packing", [], []).replace('"n": 8', '"n": ' + "9" * 5000)
+    code, out, err = run_cli(capsys, ["verify"], stdin_text=text, monkeypatch=monkeypatch)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: malformed document: ")
+    with pytest.raises(DocumentError):
+        document_from_json(text)
+
+
+BIG_EMPTY_DOCUMENT = '{"schema_version":"1","n":100000,"kind":"decomposition","motifs":[],"unused_arcs":[]}'
+BIG_EMPTY_GAPS = [
+    "declared unused_arcs disagree with the arcs actually left uncovered (declared 0, actual 4999950000)",
+    "document declares a decomposition but the motifs form a packing",
+]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_verify_work_is_bounded_by_the_document(capsys, monkeypatch, fmt):
+    # TT_100000 has about 5e9 arcs; a verifier that listed them would
+    # run out of memory on this small document.
+    monkeypatch.setattr(sys, "stdin", io.StringIO(BIG_EMPTY_DOCUMENT))
+    tracemalloc.start()
+    try:
+        code = main(["verify", "--format", fmt])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    out, err = capsys.readouterr()
+    assert peak < 1_000_000
+    assert code == 1
+    assert err == ""
+    if fmt == "json":
+        report = json.loads(out)
+        assert report["unused_arcs"] == 4_999_950_000
+        assert [v["detail"] for v in report["violations"]] == BIG_EMPTY_GAPS
+    else:
+        assert out == "\n".join(
+            [
+                "n: 100000",
+                "motifs: 0",
+                "counts: chains 0, colliders 0, forks 0",
+                "unused arcs: 4999950000",
+                "valid: no",
+                "decomposition: no",
+                "violations:",
+                *(f"  {gap}" for gap in BIG_EMPTY_GAPS),
+                "",
+            ]
+        )
+
+
 def test_verify_coverage_gap_on_wrong_declared_kind(capsys, monkeypatch):
     # A single chain over TT_3 covers only 2 of 3 arcs yet claims otherwise.
     text = _document_text(3, "decomposition", [{"type": "chain", "vertices": [1, 2, 3]}], [])
@@ -330,6 +390,30 @@ def test_document_declared_fields_survive_parsing():
     assert document.to_collection().motifs == (chain(1, 2, 3),)
 
 
+def test_motif_shaped_values_elsewhere_keep_their_messages():
+    # The decoder turns motif entries into Motifs while it reads; a
+    # motif-shaped value anywhere else must still be quoted as written.
+    shaped = {"type": "chain", "vertices": [1, 2, 3]}
+    cases = {
+        _document_text(shaped, "packing", [], []): f"n must be an integer, got {shaped!r}",
+        _document_text(5, [shaped], [], []): f"kind must be 'decomposition' or 'packing', got {[shaped]!r}",
+        _document_text(5, "packing", [{"type": shaped, "vertices": [1, 2, 3]}], []): (
+            f"motif 0 has unknown type {shaped!r}"
+        ),
+        _document_text(5, "packing", [shaped], [[1, shaped]]): (
+            f"unused arc 0 endpoint must be an integer, got {shaped!r}"
+        ),
+        _document_text(5, "packing", [shaped], [shaped]): "unused arc 0 must be a [tail, head] pair",
+    }
+    for text, message in cases.items():
+        with pytest.raises(DocumentError) as caught:
+            document_from_json(text)
+        assert str(caught.value) == message
+    extra_key = {"vertices": [1, 2, 4], "type": "fork", "note": shaped}
+    document = document_from_json(_document_text(5, "packing", [shaped, extra_key], []))
+    assert document.motifs == (chain(1, 2, 3), fork(1, 2, 4))
+
+
 def test_document_rejects_non_integer_payloads():
     with pytest.raises(DocumentError):
         document_from_json(_document_text(8, "packing", [{"type": "chain", "vertices": [1, 2, "3"]}], []))
@@ -337,6 +421,103 @@ def test_document_rejects_non_integer_payloads():
         document_from_json(_document_text(8, "packing", [], [[1, True]]))
     with pytest.raises(DocumentError):
         document_from_json(_document_text("8", "packing", [], []))
+
+
+# --- codec properties -------------------------------------------------------
+
+vertex_ints = st.integers(min_value=-(10**30), max_value=10**30)
+any_motifs = st.builds(Motif, st.sampled_from(MOTIF_KINDS), st.tuples(vertex_ints, vertex_ints, vertex_ints))
+documents = st.builds(
+    CollectionDocument,
+    n=st.integers(min_value=1, max_value=10**30),
+    kind=st.sampled_from(("decomposition", "packing")),
+    motifs=st.lists(any_motifs, max_size=8).map(tuple),
+    unused_arcs=st.lists(st.tuples(vertex_ints, vertex_ints), max_size=5).map(tuple),
+)
+motif_shaped = st.fixed_dictionaries(
+    {"type": st.sampled_from(MOTIF_KINDS), "vertices": st.lists(st.integers(), min_size=3, max_size=3)}
+)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6) | motif_shaped,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def _json_dumps_encoding(document: CollectionDocument) -> str:
+    """The document encoder written with one json.dumps per motif and
+    per arc; the f-string encoder must match it byte for byte."""
+
+    def block(key, items, comma):
+        if not items:
+            return [f'  "{key}": []{comma}']
+        return [f'  "{key}": [', *(f"    {item}," for item in items[:-1]), f"    {items[-1]}", f"  ]{comma}"]
+
+    lines = [
+        "{",
+        '  "schema_version": "1",',
+        f'  "n": {document.n},',
+        f'  "kind": {json.dumps(document.kind)},',
+        *block("motifs", [json.dumps(cli._motif_object(m)) for m in document.motifs], ","),
+        *block("unused_arcs", [json.dumps(list(arc)) for arc in document.unused_arcs], ""),
+        "}",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def _decode_or_document_error(text: str) -> None:
+    try:
+        document_from_json(text)
+    except DocumentError:
+        pass
+
+
+def _verify_exit_code(text: str) -> int:
+    saved = sys.stdin
+    sys.stdin = io.StringIO(text)
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            return main(["verify"])
+    finally:
+        sys.stdin = saved
+
+
+@settings(max_examples=300)
+@given(documents)
+def test_encoder_matches_json_dumps_and_round_trips(document):
+    text = document_to_json(document)
+    assert text == _json_dumps_encoding(document)
+    assert document_from_json(text) == document
+    assert document_to_json(document_from_json(text)) == text
+
+
+@settings(max_examples=300)
+@given(st.text(max_size=200))
+def test_decoder_raises_only_document_error_on_any_text(text):
+    _decode_or_document_error(text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(documents, st.data())
+def test_decoder_raises_only_document_error_on_perturbed_documents(document, data):
+    payload = json.loads(document_to_json(document))
+    # Walk down from the root to some value and replace it.
+    parent, key = None, None
+    node = payload
+    while isinstance(node, (dict, list)) and node and data.draw(st.booleans()):
+        keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+        parent, key = node, data.draw(st.sampled_from(keys))
+        node = node[key]
+    replacement = data.draw(json_values)
+    if parent is None:
+        payload = replacement
+    else:
+        parent[key] = replacement
+    text = json.dumps(payload)
+    cut = data.draw(st.integers(min_value=0, max_value=len(text)))
+    for candidate in (text, text[:cut], text[:cut] + data.draw(st.text(max_size=4)) + text[cut + 1 :]):
+        _decode_or_document_error(candidate)
+        assert _verify_exit_code(candidate) in (0, 1, 2, 3)
 
 
 # --- arrow notation ---------------------------------------------------------
@@ -377,10 +558,14 @@ def test_arrow_notation_round_trip(motif):
 
 
 def test_pipeline_through_subprocess(tmp_path):
+    # The children import the same ttmotifs as this process, installed or not.
+    package_root = str(Path(ttmotifs.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
     emit = subprocess.run(
         [sys.executable, "-m", "ttmotifs", "decompose", "--n", "9", "--strategy", "collider-max", "--format", "json"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert emit.returncode == 0
     check = subprocess.run(
@@ -388,6 +573,7 @@ def test_pipeline_through_subprocess(tmp_path):
         input=emit.stdout,
         capture_output=True,
         text=True,
+        env=env,
     )
     assert check.returncode == 0
     assert "valid: yes" in check.stdout

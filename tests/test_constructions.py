@@ -15,7 +15,7 @@ from ttmotifs.constructions import (
     construct_fork_max,
     construct_mixed,
 )
-from ttmotifs.core import CHAIN, COLLIDER, FORK, chain, collider, fork, motif_arcs, motif_center
+from ttmotifs.core import CHAIN, COLLIDER, FORK, Motif, chain, collider, fork, motif_arcs, motif_center
 
 DOMINANT_KIND = {"chain-max": CHAIN, "collider-max": COLLIDER, "fork-max": FORK}
 
@@ -198,3 +198,52 @@ def test_motif_collection_derived_fields():
     assert tuple(collection.counts) == (1, 0, 0)
     arcs_of_all = [a for m in collection.motifs for a in motif_arcs(m)]
     assert len(arcs_of_all) == 2
+
+
+def _unused_by_enumeration(collection: MotifCollection) -> frozenset:
+    """The unused arcs straight from the definition: every arc of TT_n
+    that no motif's arc list contains."""
+    n = collection.n
+    used = {arc for motif in collection.motifs for arc in motif_arcs(motif)}
+    return frozenset((i, j) for i in range(1, n) for j in range(i + 1, n + 1) if (i, j) not in used)
+
+
+@pytest.mark.parametrize("strategy", sorted(STRATEGIES))
+def test_unused_arcs_match_the_definition(strategy):
+    for n in range(1, 31):
+        collection = STRATEGIES[strategy](n)
+        assert collection.unused_arcs == _unused_by_enumeration(collection)
+        assert collection.unused_arc_count == len(collection.unused_arcs)
+
+
+def test_unused_arcs_ignore_arcs_outside_the_tournament():
+    odd = MotifCollection(5, (
+        chain(1, 2, 9),            # (2, 9) leaves TT_5; (1, 2) is covered
+        Motif(FORK, (3, 1, 4)),    # (3, 1) runs backwards; (3, 4) is covered
+        Motif(COLLIDER, (0, 2, 3)),  # (0, 3) leaves TT_5; (2, 3) is covered
+        chain(1, 2, 3),            # (1, 2) again, and (2, 3) again
+    ))
+    assert odd.unused_arcs == _unused_by_enumeration(odd)
+    assert odd.unused_arc_count == 10 - 3
+
+
+def test_unused_arc_count_does_not_enumerate_the_tournament():
+    # TT_100000 has about 5e9 arcs; the count is arithmetic on the motifs.
+    collection = MotifCollection(100_000, (chain(1, 2, 3),))
+    assert collection.unused_arc_count == 100_000 * 99_999 // 2 - 2
+
+
+def test_lists_unused_arcs_compares_as_a_set_of_distinct_arcs():
+    collection = MotifCollection(4, (chain(1, 2, 3), fork(1, 3, 4)))  # leaves (2, 4), (3, 4)
+    assert collection.lists_unused_arcs([(2, 4), (3, 4)])
+    assert collection.lists_unused_arcs([(3, 4), (2, 4)])
+    for wrong in (
+        [],
+        [(2, 4)],
+        [(2, 4), (2, 4)],           # right count, one arc twice
+        [(2, 4), (1, 2)],           # a covered arc
+        [(2, 4), (4, 3)],           # reversed
+        [(2, 4), (0, 4)],           # foreign
+        [(2, 4), (3, 4), (1, 4)],
+    ):
+        assert not collection.lists_unused_arcs(wrong), wrong
