@@ -64,7 +64,7 @@ class MotifCollection:
         covered: set[int] = set()
         add = covered.add
         for kind, (a, b, c) in self.motifs:
-            tail1, head1, tail2, head2 = motif_arc_ends(kind, a, b, c)
+            tail1, head1, tail2, head2 = motif_arc_ends(kind, a, b, c)  # raises on an unknown kind
             if type(a) is int and type(b) is int and type(c) is int:
                 if 1 <= tail1 < head1 <= n:
                     add(tail1 * stride + head1)
