@@ -3,8 +3,8 @@
 All arithmetic here is exact integer arithmetic; every division sits on
 a guard that makes it exact, and that exactness is asserted rather than
 assumed.  The verifier is deliberately independent of the constructions:
-it re-derives each motif's kind from its two arcs and reports what it
-finds instead of trusting the producer.
+it checks each motif's canonical form and arcs itself and reports what
+it finds instead of trusting the producer.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .constructions import MotifCollection, MotifCounts
-from .core import CHAIN, COLLIDER, FORK, MOTIF_KINDS, Arc, check_kind, check_order, motif_arc_ends
+from .core import CHAIN, COLLIDER, MOTIF_KINDS, Arc, check_kind, check_order, motif_arc_ends
 
 DUPLICATE_ARC = "duplicate_arc"
 FOREIGN_ARC = "foreign_arc"
@@ -120,12 +120,13 @@ class VerificationReport:
 def verify(collection: MotifCollection) -> VerificationReport:
     """Check a collection bottom-up, trusting nothing about its origin.
 
-    Each motif must be canonical (three int vertices, strictly ascending,
-    whose kind re-derived from the two arcs matches its tag) and must use
-    only arcs of TT_n; across motifs every arc may appear at most once.
-    An arc (tail, head) is keyed by the int tail*(n+1)+head, which sorts
-    like the pair, and a list of users is built only for an arc that is
-    used twice.
+    Each motif must be canonical (a known kind on three int vertices,
+    strictly ascending) and must use only arcs of TT_n; across motifs
+    every arc may appear at most once.  A canonical motif's two arcs,
+    from `motif_arc_ends`, always form a motif of its own kind, so the
+    kind tag needs no re-derivation.  An arc (tail, head) is keyed by
+    the int tail*(n+1)+head, which sorts like the pair, and a list of
+    users is built only for an arc that is used twice.
     """
     n = collection.n
     stride = n + 1
@@ -134,70 +135,32 @@ def verify(collection: MotifCollection) -> VerificationReport:
     shared: dict[int, list[int]] = {}
     claim = first_user.setdefault
     for index, (kind, vertices) in enumerate(collection.motifs):
-        if kind not in MOTIF_KINDS:
-            violations.append(
-                Violation(
-                    MISCLASSIFIED_MOTIF,
-                    f"motif {index} has unknown kind {kind!r}",
-                    motifs=(index,),
-                )
-            )
-            continue
         if type(vertices) is tuple and len(vertices) == 3:
             a, b, c = vertices
         else:
             a = b = c = None
-        if not (type(a) is int and type(b) is int and type(c) is int):
-            violations.append(
-                Violation(
-                    MISCLASSIFIED_MOTIF,
-                    f"motif {index} vertices {vertices!r} are not a vertex triple",
-                    motifs=(index,),
-                )
+        if kind not in MOTIF_KINDS:
+            problem = MISCLASSIFIED_MOTIF, f"motif {index} has unknown kind {kind!r}"
+        elif not (type(a) is int and type(b) is int and type(c) is int):
+            problem = (
+                MISCLASSIFIED_MOTIF,
+                f"motif {index} vertices {vertices!r} are not a vertex triple",
             )
-            continue
-        if not a < b < c:
-            violations.append(
-                Violation(
-                    MISCLASSIFIED_MOTIF,
-                    f"motif {index} vertices ({a},{b},{c}) are not in canonical ascending order",
-                    motifs=(index,),
-                )
+        elif not a < b < c:
+            problem = (
+                MISCLASSIFIED_MOTIF,
+                f"motif {index} vertices ({a},{b},{c}) are not in canonical ascending order",
             )
-            continue
-        if a < 1 or c > n:
-            violations.append(
-                Violation(
-                    FOREIGN_ARC,
-                    f"motif {index} vertices ({a},{b},{c}) leave 1..{n}",
-                    motifs=(index,),
-                )
-            )
-            continue
-        tail1, head1, tail2, head2 = motif_arc_ends(kind, a, b, c)
-        # Two distinct arcs of TT_n that share a vertex share exactly one.
-        if head1 == tail2:
-            derived = CHAIN
-        elif head1 == head2:
-            derived = COLLIDER
-        elif tail1 == tail2:
-            derived = FORK
+        elif a < 1 or c > n:
+            problem = FOREIGN_ARC, f"motif {index} vertices ({a},{b},{c}) leave 1..{n}"
         else:
-            derived = None
-        if derived != kind:
-            violations.append(
-                Violation(
-                    MISCLASSIFIED_MOTIF,
-                    f"motif {index} arcs ({tail1}, {head1}), ({tail2}, {head2}) "
-                    "re-classify to a different motif",
-                    motifs=(index,),
-                )
-            )
+            tail1, head1, tail2, head2 = motif_arc_ends(kind, a, b, c)
+            for key in (tail1 * stride + head1, tail2 * stride + head2):
+                user = claim(key, index)
+                if user != index:
+                    shared.setdefault(key, [user]).append(index)
             continue
-        for key in (tail1 * stride + head1, tail2 * stride + head2):
-            user = claim(key, index)
-            if user != index:
-                shared.setdefault(key, [user]).append(index)
+        violations.append(Violation(*problem, motifs=(index,)))
     for key in sorted(shared):
         arc = divmod(key, stride)
         violations.append(

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass, replace
@@ -30,7 +29,7 @@ from .analysis import (
     verify,
 )
 from .constructions import STRATEGIES, MotifCollection
-from .core import CHAIN, COLLIDER, FORK, MOTIF_KINDS, Arc, Motif, TransitiveTournament, chain, collider, fork
+from .core import CHAIN, COLLIDER, FORK, MOTIF_KINDS, Arc, Motif, TransitiveTournament
 from .diagram import Diagram, check_render_order
 from .oracle import SearchBudget, max_packing
 
@@ -165,6 +164,11 @@ def _document_from_payload(payload: Any) -> CollectionDocument:
     n = _expect_int(payload["n"], "n")
     if n < 1:
         raise DocumentError(f"n must be at least 1, got {n}")
+    # The report prints n(n-1)/2, which must fit the interpreter's int-to-str
+    # digit limit (0: none).  An n below 2**limit is far too small to pass it.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # absent before 3.10.7
+    if limit and n.bit_length() > limit and n * (n - 1) // 2 >= 10**limit:
+        raise DocumentError(f"n is too large: n(n-1)/2 has more than {limit} digits")
     kind = payload["kind"]
     if kind not in (KIND_DECOMPOSITION, KIND_PACKING):
         raise DocumentError(f"kind must be 'decomposition' or 'packing', got {kind!r}")
@@ -199,11 +203,6 @@ def _document_from_payload(payload: Any) -> CollectionDocument:
 
 # --- arrow notation ---------------------------------------------------------
 
-_CHAIN_LINE = re.compile(r"^v(\d+) -> v(\d+) -> v(\d+)$")
-_COLLIDER_LINE = re.compile(r"^v(\d+) -> v(\d+) <- v(\d+)$")
-_FORK_LINE = re.compile(r"^v(\d+) <- v(\d+) -> v(\d+)$")
-
-
 def motif_to_text(motif: Motif) -> str:
     a, b, c = motif.vertices
     if motif.kind == CHAIN:
@@ -213,24 +212,6 @@ def motif_to_text(motif: Motif) -> str:
     if motif.kind == FORK:
         return f"v{b} <- v{a} -> v{c}"
     raise ValueError(f"unknown motif kind {motif.kind!r}")
-
-
-def parse_motif_line(line: str) -> Motif:
-    """Inverse of motif_to_text; accepts either writing order of the
-    symmetric pair and returns the canonical motif."""
-    match = _CHAIN_LINE.match(line)
-    if match:
-        a, b, c = map(int, match.groups())
-        return chain(a, b, c)
-    match = _COLLIDER_LINE.match(line)
-    if match:
-        a, c, b = map(int, match.groups())
-        return collider(a, b, c)
-    match = _FORK_LINE.match(line)
-    if match:
-        b, a, c = map(int, match.groups())
-        return fork(a, b, c)
-    raise ValueError(f"not a motif line: {line!r}")
 
 
 # --- shared rendering -------------------------------------------------------

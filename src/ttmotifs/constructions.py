@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
-from .core import CHAIN, COLLIDER, FORK, Arc, Motif, check_order, motif_arc_ends, motif_arcs
+from .core import CHAIN, COLLIDER, FORK, Arc, Motif, check_order, motif_arc_ends
 
 
 class MotifCounts(NamedTuple):
@@ -48,11 +48,6 @@ class MotifCollection:
 
     def __post_init__(self) -> None:
         check_order(self.n)
-
-    @cached_property
-    def used_arcs(self) -> frozenset[Arc]:
-        """Arcs appearing in at least one motif."""
-        return frozenset(arc for motif in self.motifs for arc in motif_arcs(motif))
 
     @cached_property
     def _covered(self) -> set[int]:

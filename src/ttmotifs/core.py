@@ -150,7 +150,3 @@ class TransitiveTournament:
     @property
     def arc_count(self) -> int:
         return self.n * (self.n - 1) // 2
-
-    def arcs(self) -> list[Arc]:
-        """All arcs in lexicographic (tail, head) order."""
-        return list(iter_arcs(self.n))

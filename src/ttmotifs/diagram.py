@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .constructions import MotifCollection
-from .core import Motif, check_order, classify_arcs, motif_arcs
+from .core import check_order, motif_arcs
 
 Cell = tuple[int, int]  # (row, col): row 1..n-1, col 2..n
 
@@ -49,34 +49,6 @@ class Diagram:
 
     def __post_init__(self) -> None:
         check_order(self.n)
-
-    def _check_cell(self, cell: Cell) -> None:
-        row, col = cell
-        if not (1 <= row <= self.n - 1 and 2 <= col <= self.n):
-            raise ValueError(
-                f"cell {cell} outside rows 1..{self.n - 1} x columns 2..{self.n}"
-            )
-
-    def dot_present(self, cell: Cell) -> bool:
-        """True iff the cell carries a dot, i.e. row < col."""
-        self._check_cell(cell)
-        row, col = cell
-        return row < col
-
-    def motif_from_cells(self, first: Cell, second: Cell) -> Motif | None:
-        """Motif selected by two dotted cells.
-
-        Same row -> fork, same column -> collider, diagonal contact
-        ((i, j) with (j, k), in either argument order) -> chain.  Any
-        other relation selects nothing and returns None.  A dotted cell
-        is an arc, so this is `classify_arcs` behind the cell checks.
-        """
-        for cell in (first, second):
-            if not self.dot_present(cell):
-                raise ValueError(f"cell {cell} carries no dot")
-        if first == second:
-            raise ValueError(f"cells must be distinct, got {first} twice")
-        return classify_arcs(first, second)
 
     def render_ascii(self, highlight: MotifCollection | None = None) -> str:
         """Text rendering of the grid: column labels on top, one line per

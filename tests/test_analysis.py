@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -24,7 +25,18 @@ from ttmotifs.constructions import (
     construct_fork_max,
     construct_mixed,
 )
-from ttmotifs.core import CHAIN, COLLIDER, FORK, MOTIF_KINDS, Motif, chain, collider, fork
+from ttmotifs.core import (
+    CHAIN,
+    COLLIDER,
+    FORK,
+    MOTIF_KINDS,
+    Motif,
+    chain,
+    classify_arcs,
+    collider,
+    fork,
+    motif_arc_ends,
+)
 
 
 def test_admissibility():
@@ -232,6 +244,21 @@ def test_verify_counts_follow_declared_tags():
     report = verify(collection)
     assert tuple(report.counts) == (1, 0, 2)
     assert report.valid and not report.is_decomposition
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_every_canonical_motif_keeps_its_kind(n):
+    """verify trusts a canonical motif's kind tag without re-deriving it:
+    for every kind and every ascending triple, the two arcs that
+    `motif_arc_ends` gives classify back to the same motif, and the
+    motif alone is a valid collection."""
+    for kind in MOTIF_KINDS:
+        for triple in combinations(range(1, n + 1), 3):
+            motif = Motif(kind, triple)
+            tail1, head1, tail2, head2 = motif_arc_ends(kind, *triple)
+            assert classify_arcs((tail1, head1), (tail2, head2)) == motif
+            report = verify(MotifCollection(n, (motif,)))
+            assert report.valid and not report.violations, motif
 
 
 def _mutate(collection: MotifCollection, rng: random.Random) -> MotifCollection:

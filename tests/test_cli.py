@@ -25,10 +25,10 @@ from ttmotifs.cli import (
     document_to_json,
     main,
     motif_to_text,
-    parse_motif_line,
 )
 from ttmotifs.constructions import STRATEGIES
 from ttmotifs.core import MOTIF_KINDS, Motif, chain, collider, fork
+from ttmotifs.oracle import max_packing
 
 
 def run_cli(capsys, argv, stdin_text=None, monkeypatch=None):
@@ -250,6 +250,46 @@ def test_verify_integer_over_the_digit_limit_is_malformed(capsys, monkeypatch):
         document_from_json(text)
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_verify_order_whose_arc_count_passes_the_digit_limit_is_malformed(capsys, monkeypatch, fmt):
+    # n itself fits the 4,300-digit limit, but the report would print
+    # n(n-1)/2, which has about 6,000 digits.
+    text = _document_text(8, "packing", [], []).replace('"n": 8', '"n": ' + "9" * 3000)
+    code, out, err = run_cli(capsys, ["verify", "--format", fmt], stdin_text=text, monkeypatch=monkeypatch)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: malformed document: ")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_verify_order_whose_arc_count_fits_the_digit_limit_is_reported(capsys, monkeypatch, fmt):
+    n = int("9" * 2100)
+    arcs = n * (n - 1) // 2  # about 4,200 digits
+    gap = f"declared unused_arcs disagree with the arcs actually left uncovered (declared 0, actual {arcs})"
+    text = _document_text(8, "packing", [], []).replace('"n": 8', f'"n": {n}')
+    code, out, err = run_cli(capsys, ["verify", "--format", fmt], stdin_text=text, monkeypatch=monkeypatch)
+    assert code == 1
+    assert err == ""
+    if fmt == "json":
+        report = json.loads(out)
+        assert (report["n"], report["unused_arcs"], report["valid"]) == (n, arcs, False)
+        assert [v["detail"] for v in report["violations"]] == [gap]
+    else:
+        assert out == "\n".join(
+            [
+                f"n: {n}",
+                "motifs: 0",
+                "counts: chains 0, colliders 0, forks 0",
+                f"unused arcs: {arcs}",
+                "valid: no",
+                "decomposition: no",
+                "violations:",
+                f"  {gap}",
+                "",
+            ]
+        )
+
+
 BIG_EMPTY_DOCUMENT = '{"schema_version":"1","n":100000,"kind":"decomposition","motifs":[],"unused_arcs":[]}'
 BIG_EMPTY_GAPS = [
     "declared unused_arcs disagree with the arcs actually left uncovered (declared 0, actual 4999950000)",
@@ -343,9 +383,10 @@ def test_oracle_witness_lines_parse_back(capsys):
     assert code == 0
     lines = out.splitlines()
     start = lines.index("witness:") + 1
-    motifs = [parse_motif_line(line.strip()) for line in lines[start:]]
-    assert len(motifs) == 4
-    assert all(m.kind == "fork" for m in motifs)
+    witness = max_packing("fork", 5).witness.motifs
+    assert len(witness) == 4
+    assert all(m.kind == "fork" for m in witness)
+    assert lines[start:] == [f"  {motif_to_text(m)}" for m in witness]
 
 
 def test_oracle_inconclusive_under_tiny_budget(capsys):
@@ -520,6 +561,61 @@ def test_decoder_raises_only_document_error_on_perturbed_documents(document, dat
         assert _verify_exit_code(candidate) in (0, 1, 2, 3)
 
 
+# --- fuzzing the other subcommands ------------------------------------------
+
+
+def _main_exit_and_stdout(argv: list[str]) -> tuple[int, str]:
+    """main(argv) with its output captured.  Only argparse's usage exit
+    may escape main, and stdout, when written, ends with a newline."""
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            assert exc.code == 2
+            code = exc.code
+    assert out.getvalue() == "" or out.getvalue().endswith("\n")
+    return code, out.getvalue()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=120),
+    st.sampled_from(sorted(STRATEGIES)),
+    st.sampled_from(("json", "text", "diagram")),
+)
+def test_decompose_exit_codes_on_any_order(n, strategy, fmt):
+    argv = ["decompose", "--n", str(n), "--strategy", strategy, "--format", fmt]
+    code, _ = _main_exit_and_stdout(argv)
+    if fmt == "diagram" and n > 99:
+        assert code == 2
+    else:
+        assert code == (0 if n % 4 in (0, 1) else 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=200), st.sampled_from(("json", "text")))
+def test_counts_exit_codes_on_any_order(n, fmt):
+    code, out = _main_exit_and_stdout(["counts", "--n", str(n), "--format", fmt])
+    assert code == 0
+    assert out
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(MOTIF_KINDS),
+    st.integers(min_value=1, max_value=30),
+    st.integers(min_value=1, max_value=50),
+    st.booleans(),
+    st.sampled_from(("json", "text")),
+)
+def test_oracle_exit_codes_on_any_budget(kind, n, max_nodes, witness, fmt):
+    argv = ["oracle", "--kind", kind, "--n", str(n), "--max-nodes", str(max_nodes), "--format", fmt]
+    code, out = _main_exit_and_stdout(argv + ["--witness"] * witness)
+    assert code == 0
+    assert out
+
+
 # --- arrow notation ---------------------------------------------------------
 
 
@@ -527,31 +623,6 @@ def test_motif_text_examples():
     assert motif_to_text(chain(1, 7, 8)) == "v1 -> v7 -> v8"
     assert motif_to_text(collider(3, 4, 8)) == "v3 -> v8 <- v4"
     assert motif_to_text(fork(1, 2, 3)) == "v2 <- v1 -> v3"
-
-
-def test_parse_motif_line_accepts_either_symmetric_order():
-    assert parse_motif_line("v4 -> v8 <- v3") == collider(3, 4, 8)
-    assert parse_motif_line("v3 <- v1 -> v2") == fork(1, 2, 3)
-
-
-def test_parse_motif_line_rejects_garbage():
-    for bad in ["", "v1 -> v2", "v1 <- v2 <- v3", "1 -> 2 -> 3", "v2 -> v1 -> v3"]:
-        with pytest.raises(ValueError):
-            parse_motif_line(bad)
-
-
-@st.composite
-def canonical_motifs(draw):
-    n = draw(st.integers(min_value=3, max_value=40))
-    triple = tuple(sorted(draw(st.sets(st.integers(1, n), min_size=3, max_size=3))))
-    kind = draw(st.sampled_from(MOTIF_KINDS))
-    return Motif(kind, triple)
-
-
-@settings(max_examples=200)
-@given(canonical_motifs())
-def test_arrow_notation_round_trip(motif):
-    assert parse_motif_line(motif_to_text(motif)) == motif
 
 
 # --- end to end through the real interpreter --------------------------------

@@ -193,7 +193,6 @@ def test_collections_must_have_positive_order():
 
 def test_motif_collection_derived_fields():
     collection = MotifCollection(4, (chain(1, 2, 3),))
-    assert collection.used_arcs == {(1, 2), (2, 3)}
     assert collection.unused_arcs == {(1, 3), (1, 4), (2, 4), (3, 4)}
     assert tuple(collection.counts) == (1, 0, 0)
     arcs_of_all = [a for m in collection.motifs for a in motif_arcs(m)]
