@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .constructions import MotifCollection, MotifCounts
-from .core import CHAIN, COLLIDER, MOTIF_KINDS, Arc, check_kind, check_order, motif_arc_ends
+from .core import CHAIN, COLLIDER, MOTIF_KINDS, Arc, check_kind, check_order
 
 DUPLICATE_ARC = "duplicate_arc"
 FOREIGN_ARC = "foreign_arc"
@@ -82,7 +82,6 @@ class PackingNumberTable:
 
 
 def packing_number_table(n: int) -> PackingNumberTable:
-    check_order(n)
     slots = n * (n - 1) // 4 if n * (n - 1) % 4 == 0 else None
     return PackingNumberTable(
         n=n,
@@ -124,16 +123,13 @@ def verify(collection: MotifCollection) -> VerificationReport:
     strictly ascending) and must use only arcs of TT_n; across motifs
     every arc may appear at most once.  A canonical motif's two arcs,
     from `motif_arc_ends`, always form a motif of its own kind, so the
-    kind tag needs no re-derivation.  An arc (tail, head) is keyed by
-    the int tail*(n+1)+head, which sorts like the pair, and a list of
-    users is built only for an arc that is used twice.
+    kind tag needs no re-derivation.  Which motifs use which arcs is
+    read from the collection's one walk over its motifs; a shared arc
+    is reported among the motifs that pass the checks above.
     """
     n = collection.n
-    stride = n + 1
     violations: list[Violation] = []
-    first_user: dict[int, int] = {}
-    shared: dict[int, list[int]] = {}
-    claim = first_user.setdefault
+    rejected: set[int] = set()
     for index, (kind, vertices) in enumerate(collection.motifs):
         if type(vertices) is tuple and len(vertices) == 3:
             a, b, c = vertices
@@ -154,29 +150,21 @@ def verify(collection: MotifCollection) -> VerificationReport:
         elif a < 1 or c > n:
             problem = FOREIGN_ARC, f"motif {index} vertices ({a},{b},{c}) leave 1..{n}"
         else:
-            tail1, head1, tail2, head2 = motif_arc_ends(kind, a, b, c)
-            for key in (tail1 * stride + head1, tail2 * stride + head2):
-                user = claim(key, index)
-                if user != index:
-                    shared.setdefault(key, [user]).append(index)
             continue
         violations.append(Violation(*problem, motifs=(index,)))
+        rejected.add(index)
+    shared = collection._arc_walk[1]
     for key in sorted(shared):
-        arc = divmod(key, stride)
-        violations.append(
-            Violation(
-                DUPLICATE_ARC,
-                f"duplicate arc ({arc[0]},{arc[1]})",
-                motifs=tuple(shared[key]),
-                arc=arc,
-            )
-        )
+        users = tuple(user for user in shared[key] if user not in rejected)
+        if len(users) > 1:
+            arc = divmod(key, n + 1)
+            detail = f"duplicate arc ({arc[0]},{arc[1]})"
+            violations.append(Violation(DUPLICATE_ARC, detail, motifs=users, arc=arc))
     valid = not violations
-    covers_everything = len(first_user) == n * (n - 1) // 2
     return VerificationReport(
         n=n,
         valid=valid,
-        is_decomposition=valid and covers_everything,
+        is_decomposition=valid and collection.unused_arc_count == 0,
         counts=collection.counts,
         violations=tuple(violations),
     )

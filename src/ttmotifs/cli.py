@@ -142,8 +142,9 @@ def document_from_json(text: str) -> CollectionDocument:
     """Parse and structurally validate a document; content problems
     (bad canonical form, duplicate arcs, wrong declared kind) are left
     for verification."""
+    payload = _decode(text, _motif_hook)
     try:
-        return _document_from_payload(_decode(text, _motif_hook))
+        return _document_from_payload(payload)
     except DocumentError:
         # The hook also turns motif-shaped objects outside the motif
         # list into Motifs.  Decode again without it, so that every

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
-from .core import CHAIN, COLLIDER, FORK, Arc, Motif, check_order, motif_arc_ends
+from .core import CHAIN, COLLIDER, FORK, MOTIF_KINDS, Arc, Motif, check_order, motif_arc_ends
 
 
 class MotifCounts(NamedTuple):
@@ -50,27 +50,39 @@ class MotifCollection:
         check_order(self.n)
 
     @cached_property
-    def _covered(self) -> set[int]:
-        """Arcs of TT_n in at least one motif, each (tail, head) stored as
-        the int tail*(n+1)+head.  Arcs outside TT_n and vertices that are
-        not ints cover nothing."""
+    def _arc_walk(self) -> tuple[dict[int, int], dict[int, list[int]]]:
+        """The one walk over the motifs that every arc question reads.
+
+        Each arc (tail, head) of TT_n is keyed as the int tail*(n+1)+head,
+        which sorts like the pair.  Returns the first user of each used
+        arc, and every user, in order, of each arc used more than once.
+        A motif with a known kind and a tuple of three int vertices uses
+        those of its two arcs that lie in TT_n; any other motif uses
+        nothing.  Nothing else is checked here: that is `verify`'s job."""
         n = self.n
         stride = n + 1
-        covered: set[int] = set()
-        add = covered.add
-        for kind, (a, b, c) in self.motifs:
-            tail1, head1, tail2, head2 = motif_arc_ends(kind, a, b, c)  # raises on an unknown kind
-            if type(a) is int and type(b) is int and type(c) is int:
-                if 1 <= tail1 < head1 <= n:
-                    add(tail1 * stride + head1)
-                if 1 <= tail2 < head2 <= n:
-                    add(tail2 * stride + head2)
-        return covered
+        first_user: dict[int, int] = {}
+        shared: dict[int, list[int]] = {}
+        claim = first_user.setdefault
+        for index, (kind, vertices) in enumerate(self.motifs):
+            if not (kind in MOTIF_KINDS and type(vertices) is tuple and len(vertices) == 3):
+                continue
+            a, b, c = vertices
+            if not (type(a) is int and type(b) is int and type(c) is int):
+                continue
+            tail1, head1, tail2, head2 = motif_arc_ends(kind, a, b, c)
+            for tail, head in ((tail1, head1), (tail2, head2)):
+                if 1 <= tail < head <= n:
+                    key = tail * stride + head
+                    user = claim(key, index)
+                    if user != index:
+                        shared.setdefault(key, [user]).append(index)
+        return first_user, shared
 
     @cached_property
     def unused_arc_count(self) -> int:
         """How many arcs of TT_n are in no motif, without listing them."""
-        return self.n * (self.n - 1) // 2 - len(self._covered)
+        return self.n * (self.n - 1) // 2 - len(self._arc_walk[0])
 
     @cached_property
     def unused_arcs(self) -> frozenset[Arc]:
@@ -79,7 +91,7 @@ class MotifCollection:
             return frozenset()
         n = self.n
         stride = n + 1
-        covered = self._covered
+        covered = self._arc_walk[0]
         return frozenset(
             (tail, head)
             for tail in range(1, n)
@@ -95,7 +107,7 @@ class MotifCollection:
             return False
         n = self.n
         stride = n + 1
-        covered = self._covered
+        covered = self._arc_walk[0]
         seen: set[int] = set()
         for tail, head in arcs:
             if not (type(tail) is int and type(head) is int and 1 <= tail < head <= n):
@@ -131,7 +143,6 @@ def construct_mixed(n: int) -> MotifCollection:
     to right into forks; the unpaired dots — all in column n — pair off
     top to bottom into colliders with head n.
     """
-    check_order(n)
     motifs: list[Motif] = []
     for m in range(1, (n - 1) // 2 + 1):
         motifs.append(Motif(CHAIN, (2 * m - 1, 2 * m, 2 * m + 1)))
@@ -159,7 +170,6 @@ def construct_chain_max(n: int) -> MotifCollection:
     (i, n) for i = 1 and each low centre i; those pair into colliders
     with head n, tails taken in ascending consecutive pairs.
     """
-    check_order(n)
     motifs: list[Motif] = []
     mid = (n + 2) // 2  # smallest high centre
     for t in range(n - 1, mid - 1, -1):
@@ -180,7 +190,6 @@ def construct_collider_max(n: int) -> MotifCollection:
     so on; the even columns are left with their top dot (1, j), and
     those pair into forks with tail 1, heads ascending.
     """
-    check_order(n)
     motifs: list[Motif] = []
     unpaired_heads: list[int] = []
     for j in range(2, n + 1):
@@ -199,7 +208,6 @@ def construct_fork_max(n: int) -> MotifCollection:
     on; rows of odd length are left with their last dot (i, n), and
     those pair into colliders with head n, tails ascending.
     """
-    check_order(n)
     motifs: list[Motif] = []
     unpaired_tails: list[int] = []
     for i in range(1, n):

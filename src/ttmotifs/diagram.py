@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .constructions import MotifCollection
-from .core import check_order, motif_arcs
+from .core import check_order
 
 Cell = tuple[int, int]  # (row, col): row 1..n-1, col 2..n
 
@@ -35,9 +35,7 @@ def _tag(index: int) -> str:
     """Two-character-max base-62 tag for motif number `index`."""
     if index < 62:
         return _BASE62[index]
-    hi, lo = divmod(index, 62)
-    if hi >= 62:
-        raise ValueError(f"motif index {index} too large to tag")
+    hi, lo = divmod(index, 62)  # below 62**2: at n <= 99 there are at most 2,425 motifs to tag
     return _BASE62[hi] + _BASE62[lo]
 
 
@@ -59,26 +57,26 @@ class Diagram:
         share a tag.  Arcs outside every motif keep their plain dot.
         """
         check_render_order(self.n)
-        tag_of: dict[Cell, str] = {}
+        stride = self.n + 1
+        tag_of: dict[int, str] = {}  # keyed like MotifCollection._arc_walk
         if highlight is not None:
             if highlight.n != self.n:
                 raise ValueError(
                     f"collection is over TT_{highlight.n}, diagram over TT_{self.n}"
                 )
-            for index, motif in enumerate(highlight.motifs):
-                for arc in motif_arcs(motif):
-                    tail, head = arc
-                    if not (1 <= tail < head <= self.n):
-                        raise ValueError(f"motif {index} uses {arc}, not an arc of TT_{self.n}")
-                    if arc in tag_of:
-                        raise ValueError(f"arc {arc} appears in more than one motif")
-                    tag_of[arc] = _tag(index)
+            first_user = highlight._arc_walk[0]
+            if len(first_user) != 2 * len(highlight.motifs):
+                raise ValueError(
+                    f"a highlighted collection must use two arcs of TT_{self.n} per motif, "
+                    "each arc in one motif only"
+                )
+            tag_of = {key: _tag(index) for key, index in first_user.items()}
         lines = ["   " + "".join(str(col).ljust(2) for col in range(2, self.n + 1))]
         for row in range(1, self.n):
             cells = []
             for col in range(2, self.n + 1):
                 if row < col:
-                    cells.append(tag_of.get((row, col), "·"))
+                    cells.append(tag_of.get(row * stride + col, "·"))
                 else:
                     cells.append("")
             lines.append(f"{row:>2} " + "".join(cell.ljust(2) for cell in cells))

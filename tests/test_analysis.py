@@ -132,6 +132,9 @@ def test_packing_number_table():
     assert table.per_kind == {CHAIN: 12, COLLIDER: 12, FORK: 12}
     assert table.total_motif_slots == 14
     assert packing_number_table(6).total_motif_slots is None
+    for n in (0, -1, -5, -10**9):
+        with pytest.raises(ValueError, match=f"^order must be at least 1, got {n}$"):
+            packing_number_table(n)
 
 
 @pytest.mark.parametrize("kind", MOTIF_KINDS)

@@ -229,6 +229,22 @@ def test_verify_malformed_documents(capsys, monkeypatch):
         assert "malformed" in err
 
 
+def test_text_that_is_not_json_is_decoded_once(monkeypatch):
+    # Only a payload that fails the document checks is decoded a second
+    # time; text that never parsed is not.
+    calls = []
+    loads = json.loads
+
+    def counting_loads(*args, **kwargs):
+        calls.append(args[0])
+        return loads(*args, **kwargs)
+
+    monkeypatch.setattr(cli.json, "loads", counting_loads)
+    with pytest.raises(DocumentError, match="not valid JSON"):
+        document_from_json("{not json")
+    assert len(calls) == 1
+
+
 def test_verify_deeply_nested_document_exits_2(capsys, monkeypatch):
     # Too deep for the JSON decoder: a malformed document, not a crash.
     text = "[" * 200_000 + "]" * 200_000

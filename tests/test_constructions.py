@@ -15,7 +15,20 @@ from ttmotifs.constructions import (
     construct_fork_max,
     construct_mixed,
 )
-from ttmotifs.core import CHAIN, COLLIDER, FORK, Motif, chain, collider, fork, motif_arcs, motif_center
+from ttmotifs.core import (
+    CHAIN,
+    COLLIDER,
+    FORK,
+    MOTIF_KINDS,
+    Motif,
+    chain,
+    collider,
+    fork,
+    iter_arcs,
+    motif_arcs,
+    motif_center,
+)
+from ttmotifs.diagram import Diagram
 
 DOMINANT_KIND = {"chain-max": CHAIN, "collider-max": COLLIDER, "fork-max": FORK}
 
@@ -187,8 +200,9 @@ def test_collections_must_have_positive_order():
     with pytest.raises(ValueError):
         MotifCollection(0, ())
     for build in STRATEGIES.values():
-        with pytest.raises(ValueError):
-            build(0)
+        for n in (0, -1, -5, -10**9):
+            with pytest.raises(ValueError, match=f"^order must be at least 1, got {n}$"):
+                build(n)
 
 
 def test_motif_collection_derived_fields():
@@ -246,3 +260,58 @@ def test_lists_unused_arcs_compares_as_a_set_of_distinct_arcs():
         [(2, 4), (3, 4), (1, 4)],
     ):
         assert not collection.lists_unused_arcs(wrong), wrong
+
+
+# --- coverage and rendering over everything verify accepts ----------------
+
+
+def _used_by_definition(n: int, motifs) -> set:
+    """Arcs of TT_n that some motif uses: a motif of a known kind on a
+    tuple of three ints (not bools) uses the two arcs its kind names,
+    and anything else uses nothing."""
+    used = set()
+    for kind, vertices in motifs:
+        if (
+            kind in MOTIF_KINDS
+            and type(vertices) is tuple
+            and len(vertices) == 3
+            and all(type(v) is int for v in vertices)
+        ):
+            used.update(motif_arcs(Motif(kind, vertices)))
+    return used & set(iter_arcs(n))
+
+
+_ANY_VERTEX = st.one_of(
+    st.integers(-2, 14), st.floats(allow_nan=True), st.booleans(), st.none()
+)
+_LIBRARY_MOTIFS = st.builds(
+    Motif,
+    st.sampled_from(MOTIF_KINDS + ("triangle", "", "CHAIN")),
+    st.one_of(st.none(), st.lists(_ANY_VERTEX, max_size=4).map(tuple)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 12), motifs=st.lists(_LIBRARY_MOTIFS, max_size=12))
+def test_coverage_and_rendering_accept_every_collection_verify_reports_on(n, motifs):
+    collection = MotifCollection(n, tuple(motifs))
+    verify(collection)  # reports, never raises
+    used = _used_by_definition(n, motifs)
+    unused = frozenset(iter_arcs(n)) - used
+    assert collection.unused_arc_count == len(unused)
+    assert collection.unused_arcs == unused
+    assert collection.lists_unused_arcs(sorted(unused))
+    try:
+        Diagram(n).render_ascii(highlight=collection)
+    except ValueError:
+        pass
+
+
+@pytest.mark.parametrize(
+    "motif", [Motif(CHAIN, (1, 2)), Motif("triangle", (1, 2, 3)), Motif(CHAIN, None)]
+)
+def test_a_motif_verify_calls_misclassified_uses_no_arc(motif):
+    collection = MotifCollection(5, (motif,))
+    assert collection.unused_arc_count == 10
+    assert len(collection.unused_arcs) == 10
+    assert verify(collection).violations[0].kind == "misclassified_motif"
