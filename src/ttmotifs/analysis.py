@@ -2,9 +2,10 @@
 
 All arithmetic here is exact integer arithmetic; every division sits on
 a guard that makes it exact, and that exactness is asserted rather than
-assumed.  The verifier is deliberately independent of the constructions:
-it checks each motif's canonical form and arcs itself and reports what
-it finds instead of trusting the producer.
+assumed.  The verifier is deliberately independent of the builders: it
+checks each motif's canonical form and arcs, through the collection's
+own walk over its motifs, and reports what it finds instead of trusting
+the producer.
 """
 
 from __future__ import annotations
@@ -123,14 +124,20 @@ def verify(collection: MotifCollection) -> VerificationReport:
     strictly ascending) and must use only arcs of TT_n; across motifs
     every arc may appear at most once.  A canonical motif's two arcs,
     from `motif_arc_ends`, always form a motif of its own kind, so the
-    kind tag needs no re-derivation.  Which motifs use which arcs is
-    read from the collection's one walk over its motifs; a shared arc
-    is reported among the motifs that pass the checks above.
+    kind tag needs no re-derivation.  Everything is read from the
+    collection's one walk over its motifs, which also records the
+    positions of the motifs that are not canonical in range; only those
+    go through the checks above, which say what is wrong with each.  A
+    shared arc is reported among the motifs that pass the checks, and
+    the counts are the walk's tally of the kind tags.
     """
     n = collection.n
+    _, shared, flagged, counts = collection._arc_walk
+    motifs = collection.motifs
     violations: list[Violation] = []
     rejected: set[int] = set()
-    for index, (kind, vertices) in enumerate(collection.motifs):
+    for index in flagged:
+        kind, vertices = motifs[index]
         if type(vertices) is tuple and len(vertices) == 3:
             a, b, c = vertices
         else:
@@ -153,7 +160,6 @@ def verify(collection: MotifCollection) -> VerificationReport:
             continue
         violations.append(Violation(*problem, motifs=(index,)))
         rejected.add(index)
-    shared = collection._arc_walk[1]
     for key in sorted(shared):
         users = tuple(user for user in shared[key] if user not in rejected)
         if len(users) > 1:
@@ -165,6 +171,6 @@ def verify(collection: MotifCollection) -> VerificationReport:
         n=n,
         valid=valid,
         is_decomposition=valid and collection.unused_arc_count == 0,
-        counts=collection.counts,
+        counts=counts,
         violations=tuple(violations),
     )

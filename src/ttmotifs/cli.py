@@ -29,7 +29,7 @@ from .analysis import (
     verify,
 )
 from .constructions import STRATEGIES, MotifCollection
-from .core import CHAIN, COLLIDER, FORK, MOTIF_KINDS, Arc, Motif, TransitiveTournament
+from .core import CHAIN, COLLIDER, FORK, MOTIF_KINDS, Arc, Motif, TransitiveTournament, _new_motif
 from .diagram import Diagram, check_render_order
 from .oracle import SearchBudget, max_packing
 
@@ -123,7 +123,7 @@ def _motif_hook(entry: dict[str, Any]) -> Any:
     if motif_type in MOTIF_KINDS and type(vertices) is list and len(vertices) == 3:
         a, b, c = vertices
         if type(a) is int and type(b) is int and type(c) is int:
-            return Motif(motif_type, (a, b, c))
+            return _new_motif(motif_type, (a, b, c))
     return entry
 
 

@@ -12,9 +12,9 @@ exactly for n = 2, 3 (mod 4).
 Every construction is a pure function of n, and emission order is the
 construction's own sweep order, so repeated calls
 produce identical motif lists.  The builders emit each motif with its
-triple already ascending, so they build `Motif` directly rather than
-through the checking constructors of `ttmotifs.core`; `decompose` runs
-`ttmotifs.analysis.verify` on every result all the same.
+triple already ascending, so they build it with the unchecked
+`ttmotifs.core._new_motif` rather than through the checking constructors;
+`decompose` runs `ttmotifs.analysis.verify` on every result all the same.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
-from .core import CHAIN, COLLIDER, FORK, MOTIF_KINDS, Arc, Motif, check_order, motif_arc_ends
+from .core import CHAIN, COLLIDER, FORK, Arc, Motif, _new_motif, check_order, motif_arc_ends
 
 
 class MotifCounts(NamedTuple):
@@ -50,22 +50,64 @@ class MotifCollection:
         check_order(self.n)
 
     @cached_property
-    def _arc_walk(self) -> tuple[dict[int, int], dict[int, list[int]]]:
-        """The one walk over the motifs that every arc question reads.
+    def _arc_walk(self) -> tuple[dict[int, int], dict[int, list[int]], list[int], MotifCounts]:
+        """The one loop over the motifs; every question about them reads it.
 
         Each arc (tail, head) of TT_n is keyed as the int tail*(n+1)+head,
         which sorts like the pair.  Returns the first user of each used
-        arc, and every user, in order, of each arc used more than once.
-        A motif with a known kind and a tuple of three int vertices uses
-        those of its two arcs that lie in TT_n; any other motif uses
-        nothing.  Nothing else is checked here: that is `verify`'s job."""
+        arc; every user, in order, of each arc used more than once; the
+        ascending positions of the motifs that are not canonical motifs
+        of TT_n; and the tally of the kind tags, compared with ``==`` so
+        that any tag can be counted.
+
+        A canonical motif (a known kind on a tuple of three ints
+        1 <= a < b < c <= n) uses its two arcs.  Of any other motif, one
+        with a known kind and a tuple of three int vertices uses those of
+        its two arcs that lie in TT_n, and the rest use nothing.  Why a
+        motif is not canonical is `verify`'s business."""
         n = self.n
         stride = n + 1
         first_user: dict[int, int] = {}
         shared: dict[int, list[int]] = {}
+        flagged: list[int] = []
         claim = first_user.setdefault
+        chains = colliders = forks = 0
         for index, (kind, vertices) in enumerate(self.motifs):
-            if not (kind in MOTIF_KINDS and type(vertices) is tuple and len(vertices) == 3):
+            if type(vertices) is tuple and len(vertices) == 3:
+                a, b, c = vertices
+                if type(a) is int and type(b) is int and type(c) is int and 0 < a < b < c <= n:
+                    if kind == CHAIN:
+                        chains += 1
+                        key1 = a * stride + b
+                        key2 = b * stride + c
+                    elif kind == FORK:
+                        forks += 1
+                        key1 = a * stride + b
+                        key2 = a * stride + c
+                    elif kind == COLLIDER:
+                        colliders += 1
+                        key1 = a * stride + c
+                        key2 = b * stride + c
+                    else:
+                        flagged.append(index)
+                        continue
+                    user = claim(key1, index)
+                    if user != index:
+                        shared.setdefault(key1, [user]).append(index)
+                    user = claim(key2, index)
+                    if user != index:
+                        shared.setdefault(key2, [user]).append(index)
+                    continue
+            flagged.append(index)
+            if kind == CHAIN:
+                chains += 1
+            elif kind == FORK:
+                forks += 1
+            elif kind == COLLIDER:
+                colliders += 1
+            else:
+                continue
+            if not (type(vertices) is tuple and len(vertices) == 3):
                 continue
             a, b, c = vertices
             if not (type(a) is int and type(b) is int and type(c) is int):
@@ -77,7 +119,7 @@ class MotifCollection:
                     user = claim(key, index)
                     if user != index:
                         shared.setdefault(key, [user]).append(index)
-        return first_user, shared
+        return first_user, shared, flagged, MotifCounts(chains, colliders, forks)
 
     @cached_property
     def unused_arc_count(self) -> int:
@@ -118,14 +160,10 @@ class MotifCollection:
             seen.add(key)
         return True
 
-    @cached_property
+    @property
     def counts(self) -> MotifCounts:
         """Tally of the stored kind tags."""
-        tally = {CHAIN: 0, COLLIDER: 0, FORK: 0}
-        for motif in self.motifs:
-            if motif.kind in tally:
-                tally[motif.kind] += 1
-        return MotifCounts(tally[CHAIN], tally[COLLIDER], tally[FORK])
+        return self._arc_walk[3]
 
 
 def _pairs(dots: Iterable[int]) -> Iterator[tuple[int, int]]:
@@ -145,7 +183,7 @@ def construct_mixed(n: int) -> MotifCollection:
     """
     motifs: list[Motif] = []
     for m in range(1, (n - 1) // 2 + 1):
-        motifs.append(Motif(CHAIN, (2 * m - 1, 2 * m, 2 * m + 1)))
+        motifs.append(_new_motif(CHAIN, (2 * m - 1, 2 * m, 2 * m + 1)))
     leftover_rows: list[int] = []
     for i in range(1, n):
         if i <= n - 2:
@@ -154,10 +192,10 @@ def construct_mixed(n: int) -> MotifCollection:
             cols = [n]  # odd diagonal count: dot (n-1, n) survives the chains
         else:
             cols = []
-        motifs.extend(Motif(FORK, (i, b, c)) for b, c in _pairs(cols))
+        motifs.extend(_new_motif(FORK, (i, b, c)) for b, c in _pairs(cols))
         if len(cols) % 2 == 1:
             leftover_rows.append(i)  # the unpaired dot is (i, n)
-    motifs.extend(Motif(COLLIDER, (a, b, n)) for a, b in _pairs(leftover_rows))
+    motifs.extend(_new_motif(COLLIDER, (a, b, n)) for a, b in _pairs(leftover_rows))
     return MotifCollection(n, tuple(motifs))
 
 
@@ -174,12 +212,12 @@ def construct_chain_max(n: int) -> MotifCollection:
     mid = (n + 2) // 2  # smallest high centre
     for t in range(n - 1, mid - 1, -1):
         for i in range(1, n - t + 1):
-            motifs.append(Motif(CHAIN, (i, t, i + t)))
+            motifs.append(_new_motif(CHAIN, (i, t, i + t)))
     for t in range(mid - 1, 1, -1):
         for i in range(1, t):
-            motifs.append(Motif(CHAIN, (i, t, n - i)))
+            motifs.append(_new_motif(CHAIN, (i, t, n - i)))
     tails = range(1, mid) if n >= 2 else ()
-    motifs.extend(Motif(COLLIDER, (a, b, n)) for a, b in _pairs(tails))
+    motifs.extend(_new_motif(COLLIDER, (a, b, n)) for a, b in _pairs(tails))
     return MotifCollection(n, tuple(motifs))
 
 
@@ -194,10 +232,10 @@ def construct_collider_max(n: int) -> MotifCollection:
     unpaired_heads: list[int] = []
     for j in range(2, n + 1):
         rows = range(j - 1, 0, -1)
-        motifs.extend(Motif(COLLIDER, (b, a, j)) for a, b in _pairs(rows))  # a > b
+        motifs.extend(_new_motif(COLLIDER, (b, a, j)) for a, b in _pairs(rows))  # a > b
         if len(rows) % 2 == 1:
             unpaired_heads.append(j)  # the unpaired dot is (1, j)
-    motifs.extend(Motif(FORK, (1, b, c)) for b, c in _pairs(unpaired_heads))
+    motifs.extend(_new_motif(FORK, (1, b, c)) for b, c in _pairs(unpaired_heads))
     return MotifCollection(n, tuple(motifs))
 
 
@@ -212,10 +250,10 @@ def construct_fork_max(n: int) -> MotifCollection:
     unpaired_tails: list[int] = []
     for i in range(1, n):
         cols = range(i + 1, n + 1)
-        motifs.extend(Motif(FORK, (i, b, c)) for b, c in _pairs(cols))
+        motifs.extend(_new_motif(FORK, (i, b, c)) for b, c in _pairs(cols))
         if len(cols) % 2 == 1:
             unpaired_tails.append(i)  # the unpaired dot is (i, n)
-    motifs.extend(Motif(COLLIDER, (a, b, n)) for a, b in _pairs(unpaired_tails))
+    motifs.extend(_new_motif(COLLIDER, (a, b, n)) for a, b in _pairs(unpaired_tails))
     return MotifCollection(n, tuple(motifs))
 
 

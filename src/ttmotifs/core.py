@@ -58,6 +58,14 @@ class Motif(NamedTuple):
     vertices: tuple[int, int, int]
 
 
+def _new_motif(kind: str, vertices: tuple[int, int, int]) -> Motif:
+    """`Motif(kind, vertices)` without the named tuple's `__new__`
+    wrapper, i.e. `Motif._make` without its classmethod call and length
+    check.  Checks nothing: for the builders and the JSON decoder, which
+    make hundreds of thousands of motifs from parts they have checked."""
+    return tuple.__new__(Motif, (kind, vertices))
+
+
 def chain(a: int, b: int, c: int) -> Motif:
     """The chain a -> b -> c; requires a < b < c."""
     if not a < b < c:

@@ -6,11 +6,15 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ttmotifs.analysis import (
     DUPLICATE_ARC,
     FOREIGN_ARC,
     MISCLASSIFIED_MOTIF,
+    VerificationReport,
+    Violation,
     capacity_sum,
     center_capacity,
     is_admissible,
@@ -21,6 +25,7 @@ from ttmotifs.analysis import (
 )
 from ttmotifs.constructions import (
     MotifCollection,
+    MotifCounts,
     construct_chain_max,
     construct_fork_max,
     construct_mixed,
@@ -231,6 +236,16 @@ def test_verify_reports_vertices_that_are_not_ints(vertices):
     assert "not a vertex triple" in report.violations[0].detail
 
 
+@pytest.mark.parametrize("kind", [[CHAIN], {CHAIN: 1}], ids=["list", "dict"])
+def test_verify_reports_an_unhashable_kind(kind):
+    report = verify(MotifCollection(5, (Motif(kind, (1, 2, 3)), fork(1, 3, 4))))
+    assert not report.valid
+    assert report.violations == (
+        Violation(MISCLASSIFIED_MOTIF, f"motif 0 has unknown kind {kind!r}", motifs=(0,)),
+    )
+    assert tuple(report.counts) == (0, 0, 1)
+
+
 def test_verify_lists_every_user_of_a_shared_arc_in_order():
     motifs = (chain(1, 2, 3), fork(1, 2, 4), chain(3, 4, 5), fork(1, 2, 5), collider(1, 4, 5))
     report = verify(MotifCollection(5, motifs))
@@ -327,3 +342,68 @@ def test_verifier_agrees_with_first_principles_on_mutations():
         flagged += not expected
         passed += expected
     assert flagged and passed  # the fuzz must exercise both outcomes
+
+
+# --- verify against a referee -----------------------------------------------
+
+
+def _referee(collection: MotifCollection) -> VerificationReport:
+    """verify written out the long way: the rejection chain over every
+    motif, then the users of each arc among the motifs that pass it, then
+    the tally of the kind tags."""
+    n = collection.n
+    violations = []
+    users: dict = {}
+    for index, (kind, vertices) in enumerate(collection.motifs):
+        triple = type(vertices) is tuple and len(vertices) == 3
+        a, b, c = vertices if triple else (None, None, None)
+        if kind not in MOTIF_KINDS:
+            problem = MISCLASSIFIED_MOTIF, f"motif {index} has unknown kind {kind!r}"
+        elif not all(type(v) is int for v in (a, b, c)):
+            problem = MISCLASSIFIED_MOTIF, f"motif {index} vertices {vertices!r} are not a vertex triple"
+        elif not a < b < c:
+            problem = (
+                MISCLASSIFIED_MOTIF,
+                f"motif {index} vertices ({a},{b},{c}) are not in canonical ascending order",
+            )
+        elif a < 1 or c > n:
+            problem = FOREIGN_ARC, f"motif {index} vertices ({a},{b},{c}) leave 1..{n}"
+        else:
+            tail1, head1, tail2, head2 = motif_arc_ends(kind, a, b, c)
+            users.setdefault((tail1, head1), []).append(index)
+            users.setdefault((tail2, head2), []).append(index)
+            continue
+        violations.append(Violation(*problem, motifs=(index,)))
+    for arc in sorted(users):
+        if len(users[arc]) > 1:
+            detail = f"duplicate arc ({arc[0]},{arc[1]})"
+            violations.append(Violation(DUPLICATE_ARC, detail, motifs=tuple(users[arc]), arc=arc))
+    valid = not violations
+    kinds = [kind for kind, _ in collection.motifs]
+    return VerificationReport(
+        n=n,
+        valid=valid,
+        is_decomposition=valid and len(users) == n * (n - 1) // 2,
+        counts=MotifCounts(*(sum(k == kind for k in kinds) for kind in MOTIF_KINDS)),
+        violations=tuple(violations),
+    )
+
+
+_VERTEX = st.integers(-1, 14)
+_ENTRIES = st.tuples(
+    st.sampled_from(MOTIF_KINDS + ("triangle", [CHAIN], {FORK: 1})),
+    st.one_of(
+        st.tuples(_VERTEX, _VERTEX, _VERTEX),
+        st.lists(_VERTEX, min_size=3, max_size=3).map(lambda v: tuple(sorted(v))),
+        st.lists(st.one_of(_VERTEX, st.floats(), st.booleans()), max_size=4).map(tuple),
+    ),
+).map(lambda entry: Motif(*entry))
+
+
+@settings(max_examples=400, deadline=None)
+@given(n=st.integers(1, 12), pool=st.lists(_ENTRIES, min_size=1, max_size=8), data=st.data())
+def test_verify_matches_the_referee_on_library_collections(n, pool, data):
+    # Drawing the motifs from a small pool repeats entries, so arcs get shared.
+    picks = data.draw(st.lists(st.sampled_from(pool), max_size=16))
+    collection = MotifCollection(n, tuple(picks))
+    assert verify(collection) == _referee(collection)

@@ -286,7 +286,7 @@ _ANY_VERTEX = st.one_of(
 )
 _LIBRARY_MOTIFS = st.builds(
     Motif,
-    st.sampled_from(MOTIF_KINDS + ("triangle", "", "CHAIN")),
+    st.sampled_from(MOTIF_KINDS + ("triangle", "", "CHAIN", [CHAIN], {CHAIN: 1})),
     st.one_of(st.none(), st.lists(_ANY_VERTEX, max_size=4).map(tuple)),
 )
 
@@ -315,3 +315,25 @@ def test_a_motif_verify_calls_misclassified_uses_no_arc(motif):
     assert collection.unused_arc_count == 10
     assert len(collection.unused_arcs) == 10
     assert verify(collection).violations[0].kind == "misclassified_motif"
+
+
+class _CountingTuple(tuple):
+    """A motif tuple that counts how often it is iterated."""
+
+    iterations = 0
+
+    def __iter__(self):
+        self.iterations += 1
+        return super().__iter__()
+
+
+def test_every_arc_question_reads_one_walk_over_the_motifs():
+    collection = MotifCollection(9, _CountingTuple(construct_mixed(9).motifs))
+    report = verify(collection)
+    assert report.valid and report.is_decomposition
+    assert collection.unused_arc_count == 0
+    assert collection.unused_arcs == frozenset()
+    assert collection.lists_unused_arcs([])
+    assert tuple(collection.counts) == (4, 2, 12)
+    Diagram(9).render_ascii(highlight=collection)
+    assert collection.motifs.iterations == 1
