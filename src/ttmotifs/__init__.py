@@ -47,7 +47,7 @@ from .core import (
     motif_arcs,
     motif_center,
 )
-from .diagram import Cell, Diagram
+from .diagram import Diagram
 from .oracle import (
     OracleResult,
     SearchBudget,
@@ -63,7 +63,6 @@ __all__ = [
     "CHAIN",
     "COLLIDER",
     "COVERAGE_GAP",
-    "Cell",
     "DUPLICATE_ARC",
     "Diagram",
     "FOREIGN_ARC",

@@ -2,10 +2,10 @@
 
 All arithmetic here is exact integer arithmetic; every division sits on
 a guard that makes it exact, and that exactness is asserted rather than
-assumed.  The verifier is deliberately independent of the builders: it
-checks each motif's canonical form and arcs, through the collection's
-own walk over its motifs, and reports what it finds instead of trusting
-the producer.
+assumed.  The verifier is deliberately independent of the builders:
+the collection's own walk over its motifs judges each motif and records
+every shared arc, and `verify` formats those findings instead of
+trusting the producer.
 """
 
 from __future__ import annotations
@@ -14,11 +14,7 @@ from dataclasses import dataclass, field
 
 from .constructions import MotifCollection, MotifCounts
 from .core import CHAIN, COLLIDER, MOTIF_KINDS, Arc, check_kind, check_order
-
-DUPLICATE_ARC = "duplicate_arc"
-FOREIGN_ARC = "foreign_arc"
-MISCLASSIFIED_MOTIF = "misclassified_motif"
-COVERAGE_GAP = "coverage_gap"
+from .core import COVERAGE_GAP, DUPLICATE_ARC, FOREIGN_ARC, MISCLASSIFIED_MOTIF  # re-exported
 
 
 def is_admissible(n: int) -> bool:
@@ -118,57 +114,26 @@ class VerificationReport:
 
 
 def verify(collection: MotifCollection) -> VerificationReport:
-    """Check a collection bottom-up, trusting nothing about its origin.
+    """Report on a collection, trusting nothing about its origin.
 
     Each motif must be canonical (a known kind on three int vertices,
     strictly ascending) and must use only arcs of TT_n; across motifs
     every arc may appear at most once.  A canonical motif's two arcs,
     from `motif_arc_ends`, always form a motif of its own kind, so the
-    kind tag needs no re-derivation.  Everything is read from the
-    collection's one walk over its motifs, which also records the
-    positions of the motifs that are not canonical in range; only those
-    go through the checks above, which say what is wrong with each.  A
-    shared arc is reported among the motifs that pass the checks, and
-    the counts are the walk's tally of the kind tags.
+    kind tag needs no re-derivation.  The collection's one walk over its
+    motifs makes every one of these checks; this formats what it found:
+    one violation per motif that is not canonical, in position order,
+    then one per arc that canonical motifs share, in arc order.  The
+    counts are the walk's tally of the kind tags.
     """
-    n = collection.n
-    _, shared, flagged, counts = collection._arc_walk
-    motifs = collection.motifs
-    violations: list[Violation] = []
-    rejected: set[int] = set()
-    for index in flagged:
-        kind, vertices = motifs[index]
-        if type(vertices) is tuple and len(vertices) == 3:
-            a, b, c = vertices
-        else:
-            a = b = c = None
-        if kind not in MOTIF_KINDS:
-            problem = MISCLASSIFIED_MOTIF, f"motif {index} has unknown kind {kind!r}"
-        elif not (type(a) is int and type(b) is int and type(c) is int):
-            problem = (
-                MISCLASSIFIED_MOTIF,
-                f"motif {index} vertices {vertices!r} are not a vertex triple",
-            )
-        elif not a < b < c:
-            problem = (
-                MISCLASSIFIED_MOTIF,
-                f"motif {index} vertices ({a},{b},{c}) are not in canonical ascending order",
-            )
-        elif a < 1 or c > n:
-            problem = FOREIGN_ARC, f"motif {index} vertices ({a},{b},{c}) leave 1..{n}"
-        else:
-            continue
-        violations.append(Violation(*problem, motifs=(index,)))
-        rejected.add(index)
-    for key in sorted(shared):
-        users = tuple(user for user in shared[key] if user not in rejected)
-        if len(users) > 1:
-            arc = divmod(key, n + 1)
-            detail = f"duplicate arc ({arc[0]},{arc[1]})"
-            violations.append(Violation(DUPLICATE_ARC, detail, motifs=users, arc=arc))
+    _, shared, problems, counts = collection._arc_walk
+    violations = [Violation(kind, detail, motifs=(index,)) for index, kind, detail in problems]
+    for arc in sorted(shared):
+        detail = f"duplicate arc ({arc[0]},{arc[1]})"
+        violations.append(Violation(DUPLICATE_ARC, detail, motifs=tuple(shared[arc]), arc=arc))
     valid = not violations
     return VerificationReport(
-        n=n,
+        n=collection.n,
         valid=valid,
         is_decomposition=valid and collection.unused_arc_count == 0,
         counts=counts,

@@ -25,6 +25,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .core import CHAIN, COLLIDER, FORK, Arc, Motif, _new_motif, check_order, motif_arc_ends
+from .core import FOREIGN_ARC, MISCLASSIFIED_MOTIF
 
 
 class MotifCounts(NamedTuple):
@@ -39,8 +40,9 @@ class MotifCollection:
 
     The container itself enforces nothing beyond the order being
     positive: arc-disjointness, canonical form, and vertex ranges are
-    the business of `ttmotifs.analysis.verify`, which must be able to
-    inspect broken collections instead of never seeing them.
+    judged by its cached walk and reported by `ttmotifs.analysis.verify`,
+    which must be able to inspect broken collections instead of never
+    seeing them.
     """
 
     n: int
@@ -50,25 +52,28 @@ class MotifCollection:
         check_order(self.n)
 
     @cached_property
-    def _arc_walk(self) -> tuple[dict[int, int], dict[int, list[int]], list[int], MotifCounts]:
-        """The one loop over the motifs; every question about them reads it.
+    def _arc_walk(
+        self,
+    ) -> tuple[dict[int, int], dict[Arc, list[int]], list[tuple[int, str, str]], MotifCounts]:
+        """The one loop over the motifs, and the only place that judges one.
 
         Each arc (tail, head) of TT_n is keyed as the int tail*(n+1)+head,
-        which sorts like the pair.  Returns the first user of each used
-        arc; every user, in order, of each arc used more than once; the
-        ascending positions of the motifs that are not canonical motifs
-        of TT_n; and the tally of the kind tags, compared with ``==`` so
-        that any tag can be counted.
+        which sorts like the pair.  Returns a user of each used arc; every
+        user, in order, of each arc (tail, head) that canonical motifs
+        share; (position, violation kind, detail) for each motif that is
+        not canonical, in position order; and the tally of the kind tags,
+        compared with ``==`` so that any tag can be counted.
 
         A canonical motif (a known kind on a tuple of three ints
-        1 <= a < b < c <= n) uses its two arcs.  Of any other motif, one
-        with a known kind and a tuple of three int vertices uses those of
-        its two arcs that lie in TT_n, and the rest use nothing.  Why a
-        motif is not canonical is `verify`'s business."""
+        1 <= a < b < c <= n) uses its two arcs.  Any other is judged after
+        the loop by the first check it fails: known kind, three int
+        vertices, ascending, inside 1..n.  One of a known kind on three
+        ints still uses those of its arcs that lie in TT_n, but, already
+        rejected, shares none; the rest use nothing."""
         n = self.n
         stride = n + 1
         first_user: dict[int, int] = {}
-        shared: dict[int, list[int]] = {}
+        shared: dict[Arc, list[int]] = {}
         flagged: list[int] = []
         claim = first_user.setdefault
         chains = colliders = forks = 0
@@ -93,12 +98,15 @@ class MotifCollection:
                         continue
                     user = claim(key1, index)
                     if user != index:
-                        shared.setdefault(key1, [user]).append(index)
+                        shared.setdefault(divmod(key1, stride), [user]).append(index)
                     user = claim(key2, index)
                     if user != index:
-                        shared.setdefault(key2, [user]).append(index)
+                        shared.setdefault(divmod(key2, stride), [user]).append(index)
                     continue
             flagged.append(index)
+        problems: list[tuple[int, str, str]] = []
+        for index in flagged:
+            kind, vertices = self.motifs[index]
             if kind == CHAIN:
                 chains += 1
             elif kind == FORK:
@@ -106,20 +114,26 @@ class MotifCollection:
             elif kind == COLLIDER:
                 colliders += 1
             else:
+                detail = f"motif {index} has unknown kind {kind!r}"
+                problems.append((index, MISCLASSIFIED_MOTIF, detail))
                 continue
-            if not (type(vertices) is tuple and len(vertices) == 3):
-                continue
-            a, b, c = vertices
+            triple = type(vertices) is tuple and len(vertices) == 3
+            a, b, c = vertices if triple else (None, None, None)
             if not (type(a) is int and type(b) is int and type(c) is int):
+                detail = f"motif {index} vertices {vertices!r} are not a vertex triple"
+                problems.append((index, MISCLASSIFIED_MOTIF, detail))
                 continue
+            if not a < b < c:
+                detail = f"motif {index} vertices ({a},{b},{c}) are not in canonical ascending order"
+                problems.append((index, MISCLASSIFIED_MOTIF, detail))
+            else:  # ascending ints of a known kind are flagged only outside 1..n
+                detail = f"motif {index} vertices ({a},{b},{c}) leave 1..{n}"
+                problems.append((index, FOREIGN_ARC, detail))
             tail1, head1, tail2, head2 = motif_arc_ends(kind, a, b, c)
             for tail, head in ((tail1, head1), (tail2, head2)):
                 if 1 <= tail < head <= n:
-                    key = tail * stride + head
-                    user = claim(key, index)
-                    if user != index:
-                        shared.setdefault(key, [user]).append(index)
-        return first_user, shared, flagged, MotifCounts(chains, colliders, forks)
+                    claim(tail * stride + head, index)
+        return first_user, shared, problems, MotifCounts(chains, colliders, forks)
 
     @cached_property
     def unused_arc_count(self) -> int:

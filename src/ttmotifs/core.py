@@ -20,6 +20,11 @@ COLLIDER = "collider"
 FORK = "fork"
 MOTIF_KINDS = (CHAIN, COLLIDER, FORK)
 
+DUPLICATE_ARC = "duplicate_arc"
+FOREIGN_ARC = "foreign_arc"
+MISCLASSIFIED_MOTIF = "misclassified_motif"
+COVERAGE_GAP = "coverage_gap"
+
 
 def check_order(n: int) -> None:
     """Reject orders below 1."""

@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from .constructions import MotifCollection
 from .core import check_order
 
-Cell = tuple[int, int]  # (row, col): row 1..n-1, col 2..n
-
 _BASE62 = "0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 MAX_RENDER_ORDER = 99  # two-character labels and tags stop lining up beyond this
 
@@ -54,7 +52,10 @@ class Diagram:
 
         With `highlight`, each dot that belongs to a motif shows that
         motif's index tag instead of '·', so the two arcs of one motif
-        share a tag.  Arcs outside every motif keep their plain dot.
+        share a tag.  Arcs outside every motif keep their plain dot.  Only
+        a collection that `ttmotifs.analysis.verify` accepts is rendered:
+        one in which its walk found a motif that is not canonical, or an
+        arc two motifs share, raises `ValueError`.
         """
         check_render_order(self.n)
         stride = self.n + 1
@@ -64,10 +65,10 @@ class Diagram:
                 raise ValueError(
                     f"collection is over TT_{highlight.n}, diagram over TT_{self.n}"
                 )
-            first_user = highlight._arc_walk[0]
-            if len(first_user) != 2 * len(highlight.motifs):
+            first_user, shared, problems, _ = highlight._arc_walk
+            if problems or shared:
                 raise ValueError(
-                    f"a highlighted collection must use two arcs of TT_{self.n} per motif, "
+                    f"a highlighted collection must hold canonical motifs of TT_{self.n}, "
                     "each arc in one motif only"
                 )
             tag_of = {key: _tag(index) for key, index in first_user.items()}

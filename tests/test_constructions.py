@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ttmotifs.analysis import is_admissible, packing_number, verify
@@ -151,6 +151,36 @@ def test_constructions_valid_for_all_small_orders(strategy):
         assert all(counts[k] == 0 for k in absent)
 
 
+def _reversed(collection: MotifCollection) -> MotifCollection:
+    """The image under the vertex reversal i -> n+1-i, which maps TT_n
+    onto itself: a chain stays a chain, a collider becomes a fork and a
+    fork a collider, each on the reversed triple."""
+    n = collection.n
+    image = {CHAIN: chain, COLLIDER: fork, FORK: collider}
+    return MotifCollection(n, tuple(
+        image[kind](*(n + 1 - v for v in reversed(vertices)))
+        for kind, vertices in collection.motifs
+    ))
+
+
+@pytest.mark.parametrize("strategy", sorted(STRATEGIES))
+def test_reversal_maps_every_construction_to_a_valid_mirror(strategy):
+    """An independent cross-check of verify and of the builders: the
+    reversed collection is valid, is a decomposition exactly when the
+    original is, keeps the chains, swaps colliders with forks, and leaves
+    the reversed arcs unused."""
+    for n in range(1, 41):
+        collection = STRATEGIES[strategy](n)
+        mirror = _reversed(collection)
+        report = verify(mirror)
+        assert report.valid, (n, report.violations)
+        assert report.is_decomposition == verify(collection).is_decomposition
+        chains, colliders, forks = collection.counts
+        assert tuple(report.counts) == (chains, forks, colliders)
+        mirrored = {(n + 1 - head, n + 1 - tail) for tail, head in collection.unused_arcs}
+        assert mirror.unused_arcs == mirrored
+
+
 def test_mixed_unused_arc_is_in_last_column():
     for n in range(2, 81):
         collection = construct_mixed(n)
@@ -293,18 +323,20 @@ _LIBRARY_MOTIFS = st.builds(
 
 @settings(max_examples=300, deadline=None)
 @given(n=st.integers(1, 12), motifs=st.lists(_LIBRARY_MOTIFS, max_size=12))
+@example(n=4, motifs=[Motif(COLLIDER, (2, 1, 3))])  # two arcs of TT_4, not ascending
 def test_coverage_and_rendering_accept_every_collection_verify_reports_on(n, motifs):
     collection = MotifCollection(n, tuple(motifs))
-    verify(collection)  # reports, never raises
+    report = verify(collection)  # reports, never raises
     used = _used_by_definition(n, motifs)
     unused = frozenset(iter_arcs(n)) - used
     assert collection.unused_arc_count == len(unused)
     assert collection.unused_arcs == unused
     assert collection.lists_unused_arcs(sorted(unused))
-    try:
+    if report.valid:
         Diagram(n).render_ascii(highlight=collection)
-    except ValueError:
-        pass
+    else:
+        with pytest.raises(ValueError):
+            Diagram(n).render_ascii(highlight=collection)
 
 
 @pytest.mark.parametrize(

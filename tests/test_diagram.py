@@ -5,8 +5,9 @@ from __future__ import annotations
 
 import pytest
 
+from ttmotifs.analysis import MISCLASSIFIED_MOTIF, verify
 from ttmotifs.constructions import MotifCollection, construct_collider_max
-from ttmotifs.core import chain, iter_arcs
+from ttmotifs.core import COLLIDER, FORK, Motif, chain, iter_arcs
 from ttmotifs.diagram import Diagram
 
 
@@ -89,6 +90,16 @@ def test_render_rejects_reused_arcs():
     twice = MotifCollection(4, (chain(1, 2, 3), chain(1, 2, 3)))
     with pytest.raises(ValueError):
         Diagram(4).render_ascii(highlight=twice)
+
+
+@pytest.mark.parametrize("motif", [Motif(COLLIDER, (2, 1, 3)), Motif(FORK, (1, 3, 2))])
+def test_render_rejects_a_motif_verify_calls_misclassified(motif):
+    """A non-ascending triple of a known kind still names two arcs of
+    TT_4, but verify rejects it, so the diagram must not tag them."""
+    collection = MotifCollection(4, (motif,))
+    assert [v.kind for v in verify(collection).violations] == [MISCLASSIFIED_MOTIF]
+    with pytest.raises(ValueError):
+        Diagram(4).render_ascii(highlight=collection)
 
 
 def test_render_caps_order_at_99():
