@@ -4,14 +4,16 @@ Subcommands: decompose (run a construction), counts (closed-form table),
 verify (check a document), oracle (exact search).  Exit codes are shared
 by every subcommand that classifies a collection: 0 for a valid
 decomposition, 3 for a valid packing that is not a decomposition, 1 for
-an invalid collection, 2 for usage errors and malformed input.  All
-output is deterministic and newline-terminated.
+an invalid collection, 2 for usage errors, malformed input and output
+that cannot be written.  All output is deterministic and newline-terminated.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import os
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass, replace
@@ -322,8 +324,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     if args.format == "json":
         sys.stdout.write(document_to_json(document_from_collection(collection)))
     elif args.format == "text":
-        for motif in collection.motifs:
-            print(motif_to_text(motif))
+        sys.stdout.writelines(f"{motif_to_text(motif)}\n" for motif in collection.motifs)
     else:  # diagram
         print(Diagram(args.n).render_ascii(highlight=collection))
     if not report.is_decomposition:
@@ -468,7 +469,13 @@ def _positive_order(parser: argparse.ArgumentParser, value: str) -> int:
     return n
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every
+    later call in the process, so callers must not mutate it.  The
+    subcommand handlers look up `verify`, `STRATEGIES` and the codec
+    functions in this module when they run, so patching those names
+    still takes effect; only the strategy names are fixed at build time."""
     parser = argparse.ArgumentParser(
         prog="ttmotifs",
         description=(
@@ -529,4 +536,14 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    """Process entry point.  Output that cannot be written, because the
+    reader closed the pipe, exits 2 without a traceback."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The interpreter flushes stdout again at exit; point it at
+        # /dev/null so that flush cannot raise (Python's signal docs).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_USAGE
+    sys.exit(code)

@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import ast
 import importlib
+import io
+from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 from functools import cached_property
 from pathlib import Path
 
@@ -86,3 +89,43 @@ def test_every_library_attribute_the_tracer_reads_exists():
     } <= read
     missing = [(owner, attr) for owner, attr in sorted(read) if not hasattr(bound[owner], attr)]
     assert missing == []
+
+
+def test_patched_cli_names_reach_main_through_the_reused_parser(tmp_path, monkeypatch):
+    """The tracer patches `cli`'s names after the parser exists; the next
+    `main` call must still reach every patched name."""
+    names = _string_tuples(_tracing_tree())["PATCHED_CLI_NAMES"]
+    parser = cli.build_parser()
+    calls: Counter = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in names:
+        value = getattr(cli, name)
+        if isinstance(value, dict):  # STRATEGIES: wrap each builder
+            value = {key: counting(name, build) for key, build in value.items()}
+        else:
+            value = counting(name, value)
+        monkeypatch.setattr(cli, name, value)
+
+    document = tmp_path / "doc.json"
+    runs = [
+        ["decompose", "--n", "9", "--format", "text"],
+        ["decompose", "--n", "9", "--format", "json"],
+        ["verify", "--input", str(document)],
+        ["counts", "--n", "9"],
+        ["oracle", "--kind", "chain", "--n", "4"],
+    ]
+    for argv in runs:
+        out = io.StringIO()
+        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+            assert cli.main(argv) == 0
+        if argv[-1] == "json":
+            document.write_text(out.getvalue(), encoding="utf-8")
+    assert cli.build_parser() is parser
+    assert [name for name in names if calls[name] == 0] == []

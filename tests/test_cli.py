@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import io
 import json
 import os
@@ -594,15 +595,45 @@ def _main_exit_and_stdout(argv: list[str]) -> tuple[int, str]:
     return code, out.getvalue()
 
 
-@settings(max_examples=60, deadline=None)
-@given(
+DECOMPOSE_ARGS = (
     st.integers(min_value=1, max_value=120),
     st.sampled_from(sorted(STRATEGIES)),
     st.sampled_from(("json", "text", "diagram")),
 )
+COUNTS_ARGS = (st.integers(min_value=1, max_value=200), st.sampled_from(("json", "text")))
+ORACLE_ARGS = (
+    st.sampled_from(MOTIF_KINDS),
+    st.integers(min_value=1, max_value=30),
+    st.integers(min_value=1, max_value=50),
+    st.booleans(),
+    st.sampled_from(("json", "text")),
+)
+
+
+def _decompose_argv(n, strategy, fmt):
+    return ["decompose", "--n", str(n), "--strategy", strategy, "--format", fmt]
+
+
+def _counts_argv(n, fmt):
+    return ["counts", "--n", str(n), "--format", fmt]
+
+
+def _oracle_argv(kind, n, max_nodes, witness, fmt):
+    argv = ["oracle", "--kind", kind, "--n", str(n), "--max-nodes", str(max_nodes), "--format", fmt]
+    return argv + ["--witness"] * witness
+
+
+any_argv = st.one_of(
+    st.builds(_decompose_argv, *DECOMPOSE_ARGS),
+    st.builds(_counts_argv, *COUNTS_ARGS),
+    st.builds(_oracle_argv, *ORACLE_ARGS),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(*DECOMPOSE_ARGS)
 def test_decompose_exit_codes_on_any_order(n, strategy, fmt):
-    argv = ["decompose", "--n", str(n), "--strategy", strategy, "--format", fmt]
-    code, _ = _main_exit_and_stdout(argv)
+    code, _ = _main_exit_and_stdout(_decompose_argv(n, strategy, fmt))
     if fmt == "diagram" and n > 99:
         assert code == 2
     else:
@@ -610,26 +641,98 @@ def test_decompose_exit_codes_on_any_order(n, strategy, fmt):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(min_value=1, max_value=200), st.sampled_from(("json", "text")))
+@given(*COUNTS_ARGS)
 def test_counts_exit_codes_on_any_order(n, fmt):
-    code, out = _main_exit_and_stdout(["counts", "--n", str(n), "--format", fmt])
+    code, out = _main_exit_and_stdout(_counts_argv(n, fmt))
     assert code == 0
     assert out
 
 
 @settings(max_examples=60, deadline=None)
-@given(
-    st.sampled_from(MOTIF_KINDS),
-    st.integers(min_value=1, max_value=30),
-    st.integers(min_value=1, max_value=50),
-    st.booleans(),
-    st.sampled_from(("json", "text")),
-)
+@given(*ORACLE_ARGS)
 def test_oracle_exit_codes_on_any_budget(kind, n, max_nodes, witness, fmt):
-    argv = ["oracle", "--kind", kind, "--n", str(n), "--max-nodes", str(max_nodes), "--format", fmt]
-    code, out = _main_exit_and_stdout(argv + ["--witness"] * witness)
+    code, out = _main_exit_and_stdout(_oracle_argv(kind, n, max_nodes, witness, fmt))
     assert code == 0
     assert out
+
+
+# --- one parser per process -------------------------------------------------
+
+
+def _outcome(argv: list[str]) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of main(argv), argparse's exits included."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _cold_outcome(argv: list[str]) -> tuple[int, str, str]:
+    cli.build_parser.cache_clear()
+    return _outcome(argv)
+
+
+def test_a_reused_parser_answers_like_a_fresh_one(tmp_path):
+    document = tmp_path / "doc.json"
+    document.write_text(document_to_json(document_from_collection(STRATEGIES["mixed"](9))))
+    argvs = [
+        [],
+        ["--help"],
+        ["decompose", "--help"],
+        ["frobnicate"],
+        ["decompose", "--n", "0"],
+        ["counts", "--n", "x"],
+        ["decompose", "--n", "5", "--strategy", "best"],
+        ["oracle", "--kind", "star", "--n", "4"],
+        ["oracle", "--kind", "chain"],
+        ["decompose", "--n", "9", "--format", "text"],
+        ["decompose", "--n", "6", "--strategy", "chain-max", "--format", "json"],
+        ["decompose", "--n", "8", "--strategy", "fork-max", "--format", "diagram"],
+        ["decompose", "--n", "100", "--format", "diagram"],
+        ["counts", "--n", "7"],
+        ["counts", "--n", "8", "--format", "json"],
+        ["verify", "--input", str(document)],
+        ["verify", "--input", str(document), "--format", "json"],
+        ["verify", "--input", str(tmp_path / "missing.json")],
+        ["oracle", "--kind", "fork", "--n", "5", "--witness"],
+        ["oracle", "--kind", "chain", "--n", "9", "--max-nodes", "30", "--witness", "--format", "json"],
+        ["oracle", "--kind", "collider", "--n", "4", "--max-nodes", "0"],
+    ]
+    # Every argv runs on one parser that has already served all the others.
+    cli.build_parser.cache_clear()
+    for argv in argvs:
+        _outcome(argv)
+    warm = [_outcome(argv) for argv in argvs]
+    cold = [_cold_outcome(argv) for argv in argvs]
+    for argv, reused, fresh in zip(argvs, warm, cold):
+        assert reused == fresh, argv
+    assert {code for code, _, _ in warm} == {0, 2, 3}
+
+
+@settings(max_examples=60, deadline=None)
+@given(any_argv)
+def test_a_reused_parser_answers_like_a_fresh_one_on_any_argv(argv):
+    cli.build_parser()
+    reused = _outcome(argv)
+    assert reused == _cold_outcome(argv)
+
+
+def test_fifty_main_calls_build_the_parser_once(monkeypatch):
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real_init(self, *args, **kwargs)
+
+    cli.build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for n in range(1, 51):
+        assert _outcome(["counts", "--n", str(n)])[0] == 0
+    assert built.count("ttmotifs") == 1
 
 
 # --- arrow notation ---------------------------------------------------------
@@ -644,10 +747,15 @@ def test_motif_text_examples():
 # --- end to end through the real interpreter --------------------------------
 
 
-def test_pipeline_through_subprocess(tmp_path):
-    # The children import the same ttmotifs as this process, installed or not.
+def _child_env() -> dict[str, str]:
+    """The environment for a child that imports the same ttmotifs as this
+    process, installed or not."""
     package_root = str(Path(ttmotifs.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+
+
+def test_pipeline_through_subprocess(tmp_path):
+    env = _child_env()
     emit = subprocess.run(
         [sys.executable, "-m", "ttmotifs", "decompose", "--n", "9", "--strategy", "collider-max", "--format", "json"],
         capture_output=True,
@@ -664,3 +772,38 @@ def test_pipeline_through_subprocess(tmp_path):
     )
     assert check.returncode == 0
     assert "valid: yes" in check.stdout
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decompose", "--n", "9", "--format", "json"],
+        ["decompose", "--n", "9", "--format", "text"],
+        ["decompose", "--n", "9", "--format", "diagram"],
+        ["decompose", "--n", "400", "--format", "text"],
+        ["counts", "--n", "9"],
+        ["oracle", "--kind", "chain", "--n", "5", "--witness"],
+        ["verify", "--input", "DOCUMENT"],
+    ],
+    ids=["decompose-json", "decompose-text", "decompose-diagram", "decompose-text-n400", "counts",
+         "oracle-witness", "verify-input"],
+)
+def test_closed_stdout_exits_2_without_a_traceback(tmp_path, argv):
+    """A reader that closed its end of the pipe before the child started."""
+    document = tmp_path / "doc.json"
+    document.write_text(document_to_json(document_from_collection(STRATEGIES["mixed"](9))))
+    argv = [str(document) if arg == "DOCUMENT" else arg for arg in argv]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        child = subprocess.run(
+            [sys.executable, "-m", "ttmotifs", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=_child_env(),
+        )
+    finally:
+        os.close(write_end)
+    assert child.returncode == 2, child.stderr
+    assert "Traceback" not in child.stderr
