@@ -6,6 +6,8 @@ by every subcommand that classifies a collection: 0 for a valid
 decomposition, 3 for a valid packing that is not a decomposition, 1 for
 an invalid collection, 2 for usage errors, malformed input and output
 that cannot be written.  All output is deterministic and newline-terminated.
+`counts`, `verify` and `oracle` build each result once, as the payload
+that `--format json` prints; their text lines are read from it.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import os
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass, replace
-from typing import Any
+from typing import IO, Any
 
 from .analysis import (
     COVERAGE_GAP,
@@ -33,7 +35,7 @@ from .analysis import (
 from .constructions import STRATEGIES, MotifCollection
 from .core import CHAIN, COLLIDER, FORK, MOTIF_KINDS, Arc, Motif, TransitiveTournament, _new_motif
 from .diagram import Diagram, check_render_order
-from .oracle import SearchBudget, max_packing
+from .oracle import DEFAULT_MAX_NODES, SearchBudget, max_packing
 
 EXIT_DECOMPOSITION = 0
 EXIT_INVALID = 1
@@ -63,15 +65,19 @@ class CollectionDocument:
         return MotifCollection(self.n, self.motifs)
 
 
+def _derived_kind(collection: MotifCollection) -> str:
+    """A collection is a packing if any arc of TT_n is unused, else a decomposition."""
+    return KIND_PACKING if collection.unused_arc_count else KIND_DECOMPOSITION
+
+
 def document_from_collection(collection: MotifCollection) -> CollectionDocument:
     """The document a collection declares itself as: its kind and unused
     arcs are derived from the motifs, never taken on trust."""
-    unused = tuple(sorted(collection.unused_arcs))
     return CollectionDocument(
         n=collection.n,
-        kind=KIND_DECOMPOSITION if not unused else KIND_PACKING,
+        kind=_derived_kind(collection),
         motifs=collection.motifs,
-        unused_arcs=unused,
+        unused_arcs=tuple(sorted(collection.unused_arcs)),
     )
 
 
@@ -226,17 +232,16 @@ def _verify_document(document: CollectionDocument, collection: MotifCollection) 
     gap that makes the report invalid.  Nothing here lists the unused
     arcs of TT_n, so the work is bounded by the document's size."""
     report = verify(collection)
-    actual_unused = collection.unused_arc_count
     findings: list[Violation] = []
     if not collection.lists_unused_arcs(document.unused_arcs):
         findings.append(
             Violation(
                 COVERAGE_GAP,
                 "declared unused_arcs disagree with the arcs actually left uncovered "
-                f"(declared {len(document.unused_arcs)}, actual {actual_unused})",
+                f"(declared {len(document.unused_arcs)}, actual {collection.unused_arc_count})",
             )
         )
-    derived_kind = KIND_PACKING if actual_unused else KIND_DECOMPOSITION
+    derived_kind = _derived_kind(collection)
     if document.kind != derived_kind:
         findings.append(
             Violation(
@@ -254,39 +259,26 @@ def _verify_document(document: CollectionDocument, collection: MotifCollection) 
     )
 
 
-def _violation_lines(violations: tuple[Violation, ...]) -> list[str]:
-    lines = ["violations:"]
-    for violation in violations:
-        suffix = ""
-        if violation.motifs:
-            suffix = f": motifs {', '.join(str(i) for i in violation.motifs)}"
-        lines.append(f"  {violation.detail}{suffix}")
-    return lines
+def _yes_no(flag: bool) -> str:
+    return "yes" if flag else "no"
 
 
-def _report_text(report: VerificationReport, collection: MotifCollection) -> str:
-    lines = [
-        f"n: {report.n}",
-        f"motifs: {len(collection.motifs)}",
-        f"counts: chains {report.counts.chains}, colliders {report.counts.colliders}, forks {report.counts.forks}",
-        f"unused arcs: {collection.unused_arc_count}",
-        f"valid: {'yes' if report.valid else 'no'}",
-        f"decomposition: {'yes' if report.is_decomposition else 'no'}",
-    ]
-    if report.violations:
-        lines.extend(_violation_lines(report.violations))
-    return "\n".join(lines) + "\n"
+def _tally(counts: dict[str, int]) -> str:
+    """A count table as "name count, name count, ..."."""
+    return ", ".join(f"{name} {count}" for name, count in counts.items())
 
 
-def _report_json(report: VerificationReport, collection: MotifCollection) -> str:
+def _write(fmt: str, payload: dict[str, Any], lines: list[str]) -> None:
+    """Print one result: its payload as JSON, or its text lines."""
+    sys.stdout.write((json.dumps(payload, indent=2) if fmt == "json" else "\n".join(lines)) + "\n")
+
+
+def _report(report: VerificationReport, collection: MotifCollection) -> tuple[dict[str, Any], list[str]]:
+    """The verify report's payload and the text lines read from it."""
     payload = {
         "n": report.n,
         "motifs": len(collection.motifs),
-        "counts": {
-            "chains": report.counts.chains,
-            "colliders": report.counts.colliders,
-            "forks": report.counts.forks,
-        },
+        "counts": report.counts._asdict(),
         "unused_arcs": collection.unused_arc_count,
         "valid": report.valid,
         "is_decomposition": report.is_decomposition,
@@ -300,7 +292,20 @@ def _report_json(report: VerificationReport, collection: MotifCollection) -> str
             for violation in report.violations
         ],
     }
-    return json.dumps(payload, indent=2) + "\n"
+    lines = [
+        f"n: {payload['n']}",
+        f"motifs: {payload['motifs']}",
+        f"counts: {_tally(payload['counts'])}",
+        f"unused arcs: {payload['unused_arcs']}",
+        f"valid: {_yes_no(payload['valid'])}",
+        f"decomposition: {_yes_no(payload['is_decomposition'])}",
+    ]
+    if payload["violations"]:
+        lines.append("violations:")
+    for violation in payload["violations"]:
+        suffix = f": motifs {', '.join(map(str, violation['motifs']))}" if violation["motifs"] else ""
+        lines.append(f"  {violation['detail']}{suffix}")
+    return payload, lines
 
 
 def _classification_exit(report: VerificationReport) -> int:
@@ -318,8 +323,8 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     collection = STRATEGIES[args.strategy](args.n)
     report = verify(collection)
     if not report.valid:  # constructions are total; this is a tripwire
-        sys.stderr.write("internal error: construction failed verification\n")
-        sys.stderr.write(_report_text(report, collection))
+        lines = ["internal error: construction failed verification", *_report(report, collection)[1]]
+        sys.stderr.write("\n".join(lines) + "\n")
         return EXIT_INVALID
     if args.format == "json":
         sys.stdout.write(document_to_json(document_from_collection(collection)))
@@ -342,49 +347,36 @@ def cmd_counts(args: argparse.Namespace) -> int:
     n = args.n
     table = packing_number_table(n)
     admissible = is_admissible(n)
-    mixed = mixed_counts(n) if admissible else None
-    capacities = [
-        {
-            "vertex": t,
-            "chain": center_capacity(CHAIN, n, t),
-            "collider": center_capacity(COLLIDER, n, t),
-            "fork": center_capacity(FORK, n, t),
-        }
-        for t in range(1, n + 1)
-    ]
-    if args.format == "json":
-        payload = {
-            "n": n,
-            "admissible": admissible,
-            "arcs": TransitiveTournament(n).arc_count,
-            "motif_slots": table.total_motif_slots,
-            "packing_numbers": {kind: table.per_kind[kind] for kind in MOTIF_KINDS},
-            "mixed_counts": (
-                {"chains": mixed.chains, "colliders": mixed.colliders, "forks": mixed.forks}
-                if mixed is not None
-                else None
-            ),
-            "center_capacities": capacities,
-        }
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
-        return EXIT_DECOMPOSITION
+    payload = {
+        "n": n,
+        "admissible": admissible,
+        "arcs": TransitiveTournament(n).arc_count,
+        "motif_slots": table.total_motif_slots,
+        "packing_numbers": {kind: table.per_kind[kind] for kind in MOTIF_KINDS},
+        "mixed_counts": mixed_counts(n)._asdict() if admissible else None,
+        "center_capacities": [
+            {
+                "vertex": t,
+                "chain": center_capacity(CHAIN, n, t),
+                "collider": center_capacity(COLLIDER, n, t),
+                "fork": center_capacity(FORK, n, t),
+            }
+            for t in range(1, n + 1)
+        ],
+    }
+    slots, mixed = payload["motif_slots"], payload["mixed_counts"]
+    rows = payload["center_capacities"]
     lines = [
         f"n: {n}",
-        f"admissible: {'yes' if admissible else 'no'}",
-        f"arcs: {TransitiveTournament(n).arc_count}",
-        f"motif slots: {table.total_motif_slots if table.total_motif_slots is not None else '-'}",
-        "packing numbers: "
-        + ", ".join(f"{kind} {table.per_kind[kind]}" for kind in MOTIF_KINDS),
-        (
-            f"mixed counts: chains {mixed.chains}, colliders {mixed.colliders}, forks {mixed.forks}"
-            if mixed is not None
-            else "mixed counts: - (not admissible)"
-        ),
+        f"admissible: {_yes_no(admissible)}",
+        f"arcs: {payload['arcs']}",
+        f"motif slots: {slots if slots is not None else '-'}",
+        f"packing numbers: {_tally(payload['packing_numbers'])}",
+        f"mixed counts: {_tally(mixed) if mixed is not None else '- (not admissible)'}",
         "center capacities (vertex: chain collider fork):",
+        *(f"  {row['vertex']}: {row['chain']} {row['collider']} {row['fork']}" for row in rows),
     ]
-    for row in capacities:
-        lines.append(f"  {row['vertex']}: {row['chain']} {row['collider']} {row['fork']}")
-    sys.stdout.write("\n".join(lines) + "\n")
+    _write(args.format, payload, lines)
     return EXIT_DECOMPOSITION
 
 
@@ -405,18 +397,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return EXIT_USAGE
     collection = document.to_collection()
     report = _verify_document(document, collection)
-    if args.format == "json":
-        sys.stdout.write(_report_json(report, collection))
-    else:
-        sys.stdout.write(_report_text(report, collection))
+    _write(args.format, *_report(report, collection))
     return _classification_exit(report)
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    budget = SearchBudget(
-        max_nodes=args.max_nodes if args.max_nodes is not None else SearchBudget().max_nodes,
-        max_time=args.max_time,
-    )
+    budget = SearchBudget(max_nodes=args.max_nodes, max_time=args.max_time)
     result = max_packing(args.kind, args.n, budget)
     formula = packing_number(args.kind, args.n)
     if not result.exhausted:
@@ -425,34 +411,28 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         comparison = "MATCH"
     else:
         comparison = "MISMATCH"
-    if args.format == "json":
-        payload = {
-            "kind": args.kind,
-            "n": args.n,
-            "optimum": result.optimum,
-            "exhausted": result.exhausted,
-            "nodes": result.nodes,
-            "packing_number": formula,
-            "comparison": comparison,
-        }
-        if args.witness:
-            payload["witness"] = [_motif_object(motif) for motif in result.witness.motifs]
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
-        return EXIT_DECOMPOSITION
+    payload: dict[str, Any] = {
+        "kind": args.kind,
+        "n": args.n,
+        "optimum": result.optimum,
+        "exhausted": result.exhausted,
+        "nodes": result.nodes,
+        "packing_number": formula,
+        "comparison": comparison,
+    }
     lines = [
-        f"kind: {args.kind}",
-        f"n: {args.n}",
-        f"optimum: {result.optimum}",
-        f"exhausted: {'yes' if result.exhausted else 'no'}",
-        f"nodes: {result.nodes}",
-        f"packing number: {formula}",
-        f"comparison: {comparison}"
-        + (f" (lower bound {result.optimum})" if comparison == "INCONCLUSIVE" else ""),
+        f"kind: {payload['kind']}",
+        f"n: {payload['n']}",
+        f"optimum: {payload['optimum']}",
+        f"exhausted: {_yes_no(payload['exhausted'])}",
+        f"nodes: {payload['nodes']}",
+        f"packing number: {payload['packing_number']}",
+        f"comparison: {comparison}" + (f" (lower bound {result.optimum})" if not result.exhausted else ""),
     ]
     if args.witness:
-        lines.append("witness:")
-        lines.extend(f"  {motif_to_text(motif)}" for motif in result.witness.motifs)
-    sys.stdout.write("\n".join(lines) + "\n")
+        payload["witness"] = [_motif_object(motif) for motif in result.witness.motifs]
+        lines += ["witness:", *(f"  {motif_to_text(motif)}" for motif in result.witness.motifs)]
+    _write(args.format, payload, lines)
     return EXIT_DECOMPOSITION
 
 
@@ -469,6 +449,17 @@ def _positive_order(parser: argparse.ArgumentParser, value: str) -> int:
     return n
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse drops help text it cannot write.  This parser writes and
+    flushes it itself, before argparse exits, so a closed stdout reaches
+    `run` as it does for every other output."""
+
+    def print_help(self, file: IO[str] | None = None) -> None:
+        file = file or sys.stdout
+        file.write(self.format_help())
+        file.flush()
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first call and shared by every
@@ -476,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     subcommand handlers look up `verify`, `STRATEGIES` and the codec
     functions in this module when they run, so patching those names
     still takes effect; only the strategy names are fixed at build time."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ttmotifs",
         description=(
             "Pack and decompose transitive tournaments into two-arc motifs "
@@ -516,7 +507,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     oracle_cmd.add_argument("--kind", required=True, choices=MOTIF_KINDS)
     oracle_cmd.add_argument("--n", required=True, type=lambda v: _positive_order(oracle_cmd, v))
-    oracle_cmd.add_argument("--max-nodes", type=int, help="node expansion budget")
+    oracle_cmd.add_argument(
+        "--max-nodes", type=int, default=DEFAULT_MAX_NODES, help="node expansion budget"
+    )
     oracle_cmd.add_argument("--max-time", type=float, help="wall-clock budget in seconds")
     oracle_cmd.add_argument("--witness", action="store_true", help="print the witness packing")
     oracle_cmd.add_argument("--format", choices=("json", "text"), default="text")

@@ -6,7 +6,8 @@ motifs of TT_n, in fixed lexicographic order, pruning with per-centre
 capacity bounds recomputed on the residual arc supply.  The search is
 fully deterministic under a node budget, and it is anytime-sound: the
 reported optimum always comes with a witness packing, so even a
-truncated run certifies a lower bound.
+truncated run certifies a lower bound.  Orders above 99 are rejected:
+the candidates are built before the budget counts a node.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .constructions import MotifCollection
 from .core import CHAIN, COLLIDER, FORK, MOTIF_KINDS, Motif, check_kind, check_order, iter_arcs, motif_arcs
 
 DEFAULT_MAX_NODES = 10_000_000
+_MAX_ORDER = 99  # C(n,3) candidates per kind: about 157k motifs at n = 99
 
 
 @dataclass(frozen=True)
@@ -50,6 +52,14 @@ class OracleResult:
     witness: MotifCollection
     exhausted: bool
     nodes: int
+
+
+def _check_search_order(n: int) -> None:
+    """Reject orders the search cannot set up in bounded memory; cheap
+    enough to run before anything is built."""
+    check_order(n)
+    if n > _MAX_ORDER:
+        raise ValueError(f"exact search supports n <= {_MAX_ORDER}, got {n}")
 
 
 def _candidates(n: int, kinds: tuple[str, ...]) -> list[Motif]:
@@ -167,14 +177,14 @@ def _solve(n: int, candidates: list[Motif], bound_kind: str, budget: SearchBudge
 def max_packing(kind: str, n: int, budget: SearchBudget | None = None) -> OracleResult:
     """Maximum arc-disjoint packing of one motif kind, by exact search."""
     check_kind(kind)
-    check_order(n)
+    _check_search_order(n)
     return _solve(n, _candidates(n, (kind,)), kind, budget or SearchBudget())
 
 
 def max_p3_packing_undirected(n: int, budget: SearchBudget | None = None) -> OracleResult:
     """Maximum packing into motifs of any kind — equivalently, the
     orientation-blind packing of K_n's edges into paths of two edges."""
-    check_order(n)
+    _check_search_order(n)
     return _solve(n, _candidates(n, MOTIF_KINDS), "mixed", budget or SearchBudget())
 
 

@@ -27,7 +27,7 @@ from ttmotifs.cli import (
     main,
     motif_to_text,
 )
-from ttmotifs.constructions import STRATEGIES
+from ttmotifs.constructions import STRATEGIES, MotifCollection
 from ttmotifs.core import MOTIF_KINDS, Motif, chain, collider, fork
 from ttmotifs.oracle import max_packing
 
@@ -105,6 +105,18 @@ def test_decompose_diagram_checks_order_before_building(capsys, monkeypatch):
     code, out, err = run_cli(capsys, ["decompose", "--n", "2000", "--strategy", "mixed", "--format", "diagram"])
     assert (code, out, calls) == (2, "", [])
     assert err == "error: grid rendering supports n <= 99; use the JSON output for larger orders\n"
+
+
+def test_decompose_tripwire_prints_the_verify_report(capsys, monkeypatch):
+    good = STRATEGIES["mixed"](9)
+    broken = MotifCollection(9, (*good.motifs, good.motifs[0]))
+    monkeypatch.setattr(cli, "STRATEGIES", {**STRATEGIES, "mixed": lambda n: broken})
+    code, out, err = run_cli(capsys, ["decompose", "--n", "9"])
+    assert (code, out) == (1, "")
+    document = document_to_json(document_from_collection(broken))
+    verify_code, report, _ = run_cli(capsys, ["verify", "--format", "text"], stdin_text=document, monkeypatch=monkeypatch)
+    assert verify_code == 1 and "duplicate arc" in report
+    assert err == "internal error: construction failed verification\n" + report
 
 
 def test_decompose_rejects_bad_order(capsys):
@@ -429,6 +441,18 @@ def test_oracle_rejects_bad_budget(capsys):
     assert code == 2
 
 
+def test_oracle_runs_at_order_99(capsys):
+    code, out, err = run_cli(capsys, ["oracle", "--kind", "chain", "--n", "99", "--max-nodes", "1"])
+    assert code == 0 and err == ""
+    assert "comparison: INCONCLUSIVE (lower bound 1)" in out
+
+
+def test_oracle_rejects_orders_above_99(capsys):
+    code, out, err = run_cli(capsys, ["oracle", "--kind", "chain", "--n", "100", "--max-nodes", "1"])
+    assert (code, out) == (2, "")
+    assert err == "error: exact search supports n <= 99, got 100\n"
+
+
 # --- document format --------------------------------------------------------
 
 
@@ -735,6 +759,83 @@ def test_fifty_main_calls_build_the_parser_once(monkeypatch):
     assert built.count("ttmotifs") == 1
 
 
+# --- text and JSON are two views of one result ------------------------------
+
+
+def _as_text(value) -> str:
+    """How the text view writes a JSON field's value."""
+    if isinstance(value, bool):
+        return "yes" if value else "no"
+    if value is None:
+        return "-"
+    if isinstance(value, dict):
+        return ", ".join(f"{name} {count}" for name, count in value.items())
+    return str(value)
+
+
+def _text_view(out: str) -> tuple[dict[str, str], dict[str, list[str]]]:
+    """Text output split into its `key: value` lines and its sections,
+    a `title:` line followed by indented lines."""
+    fields: dict[str, str] = {}
+    sections: dict[str, list[str]] = {}
+    for line in out.splitlines():
+        if line.startswith("  "):
+            sections[title].append(line[2:])
+        elif line.endswith(":"):
+            title = line[:-1]
+            sections[title] = []
+        else:
+            key, value = line.split(": ", 1)
+            fields[key] = value
+    return fields, sections
+
+
+TEXT_KEYS = {"decomposition": "is_decomposition", "center capacities (vertex: chain collider fork)": "center_capacities"}
+SECTION_LINES = {
+    "center_capacities": lambda row: "{}: {} {} {}".format(*row.values()),
+    "witness": lambda motif: motif_to_text(Motif(motif["type"], tuple(motif["vertices"]))),
+    "violations": lambda violation: violation["detail"]
+    + (f": motifs {', '.join(map(str, violation['motifs']))}" if violation["motifs"] else ""),
+}
+DUPLICATE_MOTIF_DOCUMENT = _document_text(
+    8, "packing", [{"type": "chain", "vertices": [1, 2, 3]}, {"type": "chain", "vertices": [1, 2, 3]}], []
+)
+
+
+@pytest.mark.parametrize(
+    "argv, document",
+    [
+        *((["counts", "--n", str(n)], None) for n in (1, 2, 3, 12, 99)),
+        (["oracle", "--kind", "fork", "--n", "5", "--witness"], None),
+        (["oracle", "--kind", "chain", "--n", "8", "--witness"], None),
+        (["oracle", "--kind", "chain", "--n", "8", "--max-nodes", "30", "--witness"], None),
+        (["verify"], document_to_json(document_from_collection(STRATEGIES["mixed"](9)))),
+        (["verify"], DUPLICATE_MOTIF_DOCUMENT),
+    ],
+    ids=["counts-1", "counts-2", "counts-3", "counts-12", "counts-99", "oracle-fork-5", "oracle-chain-8",
+         "oracle-chain-8-inconclusive", "verify-clean", "verify-duplicate-motif"],
+)
+def test_text_and_json_views_agree(capsys, monkeypatch, argv, document):
+    code, text, _ = run_cli(capsys, argv + ["--format", "text"], stdin_text=document, monkeypatch=monkeypatch)
+    json_code, out, _ = run_cli(capsys, argv + ["--format", "json"], stdin_text=document, monkeypatch=monkeypatch)
+    assert code == json_code
+    payload = json.loads(out)
+    fields, sections = _text_view(text)
+    for key, value in fields.items():
+        name = TEXT_KEYS.get(key, key.replace(" ", "_"))
+        expected = _as_text(payload[name])
+        if name == "mixed_counts" and payload[name] is None:
+            expected += " (not admissible)"
+        if name == "comparison" and payload[name] == "INCONCLUSIVE":
+            expected += f" (lower bound {payload['optimum']})"
+        assert value == expected, key
+    for title, lines in sections.items():
+        name = TEXT_KEYS.get(title, title)
+        assert lines == [SECTION_LINES[name](item) for item in payload[name]], title
+    shown = {TEXT_KEYS.get(key, key.replace(" ", "_")) for key in [*fields, *sections]}
+    assert shown == {key for key, value in payload.items() if not (key == "violations" and value == [])}
+
+
 # --- arrow notation ---------------------------------------------------------
 
 
@@ -784,26 +885,31 @@ def test_pipeline_through_subprocess(tmp_path):
         ["counts", "--n", "9"],
         ["oracle", "--kind", "chain", "--n", "5", "--witness"],
         ["verify", "--input", "DOCUMENT"],
+        ["--help"],
+        ["decompose", "--help"],
     ],
     ids=["decompose-json", "decompose-text", "decompose-diagram", "decompose-text-n400", "counts",
-         "oracle-witness", "verify-input"],
+         "oracle-witness", "verify-input", "help", "decompose-help"],
 )
 def test_closed_stdout_exits_2_without_a_traceback(tmp_path, argv):
-    """A reader that closed its end of the pipe before the child started."""
+    """A reader that closed its end of the pipe before the child started,
+    with the child's stdout buffered (a pipe's default) and unbuffered."""
     document = tmp_path / "doc.json"
     document.write_text(document_to_json(document_from_collection(STRATEGIES["mixed"](9))))
     argv = [str(document) if arg == "DOCUMENT" else arg for arg in argv]
-    read_end, write_end = os.pipe()
-    os.close(read_end)
-    try:
-        child = subprocess.run(
-            [sys.executable, "-m", "ttmotifs", *argv],
-            stdout=write_end,
-            stderr=subprocess.PIPE,
-            text=True,
-            env=_child_env(),
-        )
-    finally:
-        os.close(write_end)
-    assert child.returncode == 2, child.stderr
-    assert "Traceback" not in child.stderr
+    buffered = {key: value for key, value in _child_env().items() if key != "PYTHONUNBUFFERED"}
+    for env in (buffered, {**buffered, "PYTHONUNBUFFERED": "1"}):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            child = subprocess.run(
+                [sys.executable, "-m", "ttmotifs", *argv],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+                env=env,
+            )
+        finally:
+            os.close(write_end)
+        assert child.returncode == 2, (env.get("PYTHONUNBUFFERED"), child.stderr)
+        assert "Traceback" not in child.stderr

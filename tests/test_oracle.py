@@ -124,6 +124,27 @@ def test_oracle_rejects_bad_arguments():
         max_p3_packing_undirected(0)
 
 
+def test_search_accepts_order_99_under_a_one_node_budget():
+    result = max_packing(CHAIN, 99, SearchBudget(max_nodes=1))
+    assert not result.exhausted
+    assert result.nodes == 2  # the node that broke the budget is counted
+
+
+def test_search_rejects_orders_above_99_before_building_anything(monkeypatch):
+    def no_setup(*args):
+        raise AssertionError("candidates built for a rejected order")
+
+    monkeypatch.setattr(ttmotifs.oracle, "_candidates", no_setup)
+    for search in (
+        lambda: max_packing(CHAIN, 100, SearchBudget(max_nodes=1)),
+        lambda: max_p3_packing_undirected(100, SearchBudget(max_nodes=1)),
+        lambda: pure_decomposition_exists(FORK, 100, SearchBudget(max_nodes=1)),
+        lambda: max_packing(COLLIDER, 10_000),
+    ):
+        with pytest.raises(ValueError, match="n <= 99"):
+            search()
+
+
 def test_pure_decomposition_never_exists_for_single_kinds():
     assert pure_decomposition_exists(CHAIN, 4) is False
     assert pure_decomposition_exists(FORK, 5) is False
