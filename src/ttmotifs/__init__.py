@@ -8,25 +8,16 @@ its arc count allows it.
 """
 
 from .analysis import (
-    COVERAGE_GAP,
-    DUPLICATE_ARC,
-    FOREIGN_ARC,
-    MISCLASSIFIED_MOTIF,
     PackingNumberTable,
-    VerificationReport,
-    Violation,
     capacity_sum,
     center_capacity,
     is_admissible,
     mixed_counts,
     packing_number,
     packing_number_table,
-    verify,
 )
 from .constructions import (
     STRATEGIES,
-    MotifCollection,
-    MotifCounts,
     construct_chain_max,
     construct_collider_max,
     construct_fork_max,
@@ -35,17 +26,26 @@ from .constructions import (
 from .core import (
     CHAIN,
     COLLIDER,
+    COVERAGE_GAP,
+    DUPLICATE_ARC,
+    FOREIGN_ARC,
     FORK,
+    MISCLASSIFIED_MOTIF,
     MOTIF_KINDS,
     Arc,
     Motif,
+    MotifCollection,
+    MotifCounts,
     TransitiveTournament,
+    VerificationReport,
+    Violation,
     chain,
     classify_arcs,
     collider,
     fork,
     motif_arcs,
     motif_center,
+    verify,
 )
 from .diagram import Diagram
 from .oracle import (

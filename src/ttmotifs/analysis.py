@@ -1,20 +1,20 @@
-"""Closed-form counts and the collection verifier.
+"""Closed-form counts: admissibility, packing numbers, per-centre
+capacities and the mixed decomposition's kind counts.
 
 All arithmetic here is exact integer arithmetic; every division sits on
 a guard that makes it exact, and that exactness is asserted rather than
-assumed.  The verifier is deliberately independent of the builders:
-the collection's own walk over its motifs judges each motif and records
-every shared arc, and `verify` formats those findings instead of
-trusting the producer.
+assumed.  Nothing here builds or judges a collection: the builders are
+in `ttmotifs.constructions`, and `verify` is in `ttmotifs.core`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .constructions import MotifCollection, MotifCounts
-from .core import CHAIN, COLLIDER, MOTIF_KINDS, Arc, check_kind, check_order
-from .core import COVERAGE_GAP, DUPLICATE_ARC, FOREIGN_ARC, MISCLASSIFIED_MOTIF  # re-exported
+from .core import CHAIN, COLLIDER, MOTIF_KINDS, MotifCounts, check_kind, check_order
+from .core import (  # re-exported
+    COVERAGE_GAP, DUPLICATE_ARC, FOREIGN_ARC, MISCLASSIFIED_MOTIF, VerificationReport, Violation, verify
+)
 
 
 def is_admissible(n: int) -> bool:
@@ -84,58 +84,4 @@ def packing_number_table(n: int) -> PackingNumberTable:
         n=n,
         per_kind={kind: packing_number(kind, n) for kind in MOTIF_KINDS},
         total_motif_slots=slots,
-    )
-
-
-@dataclass(frozen=True)
-class Violation:
-    """One structured verifier finding."""
-
-    kind: str  # DUPLICATE_ARC | FOREIGN_ARC | MISCLASSIFIED_MOTIF | COVERAGE_GAP
-    detail: str
-    motifs: tuple[int, ...] = ()  # offending positions in the motif list
-    arc: Arc | None = None
-
-
-@dataclass(frozen=True)
-class VerificationReport:
-    """Verdict on a motif collection.
-
-    `valid` means no violations; `is_decomposition` additionally means
-    the motifs' arcs cover every arc of TT_n exactly once.  Problems are
-    reported, never thrown.
-    """
-
-    n: int
-    valid: bool
-    is_decomposition: bool
-    counts: MotifCounts
-    violations: tuple[Violation, ...] = field(default_factory=tuple)
-
-
-def verify(collection: MotifCollection) -> VerificationReport:
-    """Report on a collection, trusting nothing about its origin.
-
-    Each motif must be canonical (a known kind on three int vertices,
-    strictly ascending) and must use only arcs of TT_n; across motifs
-    every arc may appear at most once.  A canonical motif's two arcs,
-    from `motif_arc_ends`, always form a motif of its own kind, so the
-    kind tag needs no re-derivation.  The collection's one walk over its
-    motifs makes every one of these checks; this formats what it found:
-    one violation per motif that is not canonical, in position order,
-    then one per arc that canonical motifs share, in arc order.  The
-    counts are the walk's tally of the kind tags.
-    """
-    _, shared, problems, counts = collection._arc_walk
-    violations = [Violation(kind, detail, motifs=(index,)) for index, kind, detail in problems]
-    for arc in sorted(shared):
-        detail = f"duplicate arc ({arc[0]},{arc[1]})"
-        violations.append(Violation(DUPLICATE_ARC, detail, motifs=tuple(shared[arc]), arc=arc))
-    valid = not violations
-    return VerificationReport(
-        n=collection.n,
-        valid=valid,
-        is_decomposition=valid and collection.unused_arc_count == 0,
-        counts=counts,
-        violations=tuple(violations),
     )

@@ -21,19 +21,10 @@ from collections.abc import Callable
 from dataclasses import dataclass, replace
 from typing import IO, Any
 
-from .analysis import (
-    COVERAGE_GAP,
-    VerificationReport,
-    Violation,
-    is_admissible,
-    mixed_counts,
-    packing_number,
-    packing_number_table,
-    center_capacity,
-    verify,
-)
-from .constructions import STRATEGIES, MotifCollection
-from .core import CHAIN, COLLIDER, FORK, MOTIF_KINDS, Arc, Motif, TransitiveTournament, _new_motif
+from .analysis import center_capacity, is_admissible, mixed_counts, packing_number, packing_number_table
+from .constructions import STRATEGIES
+from .core import CHAIN, COLLIDER, COVERAGE_GAP, FORK, MOTIF_KINDS, Arc, Motif, MotifCollection
+from .core import TransitiveTournament, VerificationReport, Violation, _new_motif, verify
 from .diagram import Diagram, check_render_order
 from .oracle import DEFAULT_MAX_NODES, SearchBudget, max_packing
 

@@ -1,4 +1,5 @@
-"""Deterministic motif packings and decompositions of TT_n.
+"""Deterministic motif packings and decompositions of TT_n: the four
+builders and `STRATEGIES`, which names them for the command line.
 
 Each construction is a pairing of dots in the grid view of the arc set
 (see `ttmotifs.diagram`): a row pair is a fork, a column pair is a
@@ -14,170 +15,18 @@ construction's own sweep order, so repeated calls
 produce identical motif lists.  The builders emit each motif with its
 triple already ascending, so they build it with the unchecked
 `ttmotifs.core._new_motif` rather than through the checking constructors;
-`decompose` runs `ttmotifs.analysis.verify` on every result all the same.
+`decompose` runs `ttmotifs.core.verify` on every result all the same.
+Only the command line and the package root import this module, so the
+verifier, the closed forms, the diagram and the oracle share no code with
+what they check.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
-from functools import cached_property
-from typing import NamedTuple
+from collections.abc import Iterable, Iterator
 
-from .core import CHAIN, COLLIDER, FORK, Arc, Motif, _new_motif, check_order, motif_arc_ends
-from .core import FOREIGN_ARC, MISCLASSIFIED_MOTIF
-
-
-class MotifCounts(NamedTuple):
-    chains: int
-    colliders: int
-    forks: int
-
-
-@dataclass(frozen=True)
-class MotifCollection:
-    """An ordered family of motifs over one TT_n.
-
-    The container itself enforces nothing beyond the order being
-    positive: arc-disjointness, canonical form, and vertex ranges are
-    judged by its cached walk and reported by `ttmotifs.analysis.verify`,
-    which must be able to inspect broken collections instead of never
-    seeing them.
-    """
-
-    n: int
-    motifs: tuple[Motif, ...]
-
-    def __post_init__(self) -> None:
-        check_order(self.n)
-
-    @cached_property
-    def _arc_walk(
-        self,
-    ) -> tuple[dict[int, int], dict[Arc, list[int]], list[tuple[int, str, str]], MotifCounts]:
-        """The one loop over the motifs, and the only place that judges one.
-
-        Each arc (tail, head) of TT_n is keyed as the int tail*(n+1)+head,
-        which sorts like the pair.  Returns a user of each used arc; every
-        user, in order, of each arc (tail, head) that canonical motifs
-        share; (position, violation kind, detail) for each motif that is
-        not canonical, in position order; and the tally of the kind tags,
-        compared with ``==`` so that any tag can be counted.
-
-        A canonical motif (a known kind on a tuple of three ints
-        1 <= a < b < c <= n) uses its two arcs.  Any other is judged after
-        the loop by the first check it fails: known kind, three int
-        vertices, ascending, inside 1..n.  One of a known kind on three
-        ints still uses those of its arcs that lie in TT_n, but, already
-        rejected, shares none; the rest use nothing."""
-        n = self.n
-        stride = n + 1
-        first_user: dict[int, int] = {}
-        shared: dict[Arc, list[int]] = {}
-        flagged: list[int] = []
-        claim = first_user.setdefault
-        chains = colliders = forks = 0
-        for index, (kind, vertices) in enumerate(self.motifs):
-            if type(vertices) is tuple and len(vertices) == 3:
-                a, b, c = vertices
-                if type(a) is int and type(b) is int and type(c) is int and 0 < a < b < c <= n:
-                    if kind == CHAIN:
-                        chains += 1
-                        key1 = a * stride + b
-                        key2 = b * stride + c
-                    elif kind == FORK:
-                        forks += 1
-                        key1 = a * stride + b
-                        key2 = a * stride + c
-                    elif kind == COLLIDER:
-                        colliders += 1
-                        key1 = a * stride + c
-                        key2 = b * stride + c
-                    else:
-                        flagged.append(index)
-                        continue
-                    user = claim(key1, index)
-                    if user != index:
-                        shared.setdefault(divmod(key1, stride), [user]).append(index)
-                    user = claim(key2, index)
-                    if user != index:
-                        shared.setdefault(divmod(key2, stride), [user]).append(index)
-                    continue
-            flagged.append(index)
-        problems: list[tuple[int, str, str]] = []
-        for index in flagged:
-            kind, vertices = self.motifs[index]
-            if kind == CHAIN:
-                chains += 1
-            elif kind == FORK:
-                forks += 1
-            elif kind == COLLIDER:
-                colliders += 1
-            else:
-                detail = f"motif {index} has unknown kind {kind!r}"
-                problems.append((index, MISCLASSIFIED_MOTIF, detail))
-                continue
-            triple = type(vertices) is tuple and len(vertices) == 3
-            a, b, c = vertices if triple else (None, None, None)
-            if not (type(a) is int and type(b) is int and type(c) is int):
-                detail = f"motif {index} vertices {vertices!r} are not a vertex triple"
-                problems.append((index, MISCLASSIFIED_MOTIF, detail))
-                continue
-            if not a < b < c:
-                detail = f"motif {index} vertices ({a},{b},{c}) are not in canonical ascending order"
-                problems.append((index, MISCLASSIFIED_MOTIF, detail))
-            else:  # ascending ints of a known kind are flagged only outside 1..n
-                detail = f"motif {index} vertices ({a},{b},{c}) leave 1..{n}"
-                problems.append((index, FOREIGN_ARC, detail))
-            tail1, head1, tail2, head2 = motif_arc_ends(kind, a, b, c)
-            for tail, head in ((tail1, head1), (tail2, head2)):
-                if 1 <= tail < head <= n:
-                    claim(tail * stride + head, index)
-        return first_user, shared, problems, MotifCounts(chains, colliders, forks)
-
-    @cached_property
-    def unused_arc_count(self) -> int:
-        """How many arcs of TT_n are in no motif, without listing them."""
-        return self.n * (self.n - 1) // 2 - len(self._arc_walk[0])
-
-    @cached_property
-    def unused_arcs(self) -> frozenset[Arc]:
-        """Arcs of TT_n in no motif."""
-        if not self.unused_arc_count:
-            return frozenset()
-        n = self.n
-        stride = n + 1
-        covered = self._arc_walk[0]
-        return frozenset(
-            (tail, head)
-            for tail in range(1, n)
-            for head in range(tail + 1, n + 1)
-            if tail * stride + head not in covered
-        )
-
-    def lists_unused_arcs(self, arcs: Sequence[Arc]) -> bool:
-        """True iff `arcs` holds each unused arc of TT_n once, in any
-        order.  The length is compared first, so the work is bounded by
-        len(arcs), never by the size of TT_n."""
-        if len(arcs) != self.unused_arc_count:
-            return False
-        n = self.n
-        stride = n + 1
-        covered = self._arc_walk[0]
-        seen: set[int] = set()
-        for tail, head in arcs:
-            if not (type(tail) is int and type(head) is int and 1 <= tail < head <= n):
-                return False
-            key = tail * stride + head
-            if key in covered or key in seen:
-                return False
-            seen.add(key)
-        return True
-
-    @property
-    def counts(self) -> MotifCounts:
-        """Tally of the stored kind tags."""
-        return self._arc_walk[3]
+from .core import CHAIN, COLLIDER, FORK, Motif, MotifCollection, _new_motif
+from .core import MotifCounts  # re-exported
 
 
 def _pairs(dots: Iterable[int]) -> Iterator[tuple[int, int]]:

@@ -1,16 +1,23 @@
-"""Transitive tournaments and their connected two-arc motifs.
+"""Transitive tournaments, their connected two-arc motifs, collections of
+motifs, and the verdict on a collection.
 
 The transitive tournament on n vertices is determined by its order
 alone: vertices are the integers 1..n in topological order and the arc
 (i, j) exists exactly when i < j.  Arcs are plain ``(tail, head)``
-tuples and motifs are named tuples, so every value in this module is
-hashable, comparable, and cheap to put in sets.
+tuples and motifs are named tuples, so they are hashable, comparable,
+and cheap to put in sets.
+
+A `MotifCollection` is an ordered family of motifs over one TT_n; its
+one cached walk judges every motif, and `verify` reports what the walk
+found.  This module imports no other ttmotifs module, so the verdict
+shares no code with the builders it checks.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 Arc = tuple[int, int]  # (tail, head), tail < head in a transitive tournament
@@ -163,3 +170,206 @@ class TransitiveTournament:
     @property
     def arc_count(self) -> int:
         return self.n * (self.n - 1) // 2
+
+
+class MotifCounts(NamedTuple):
+    chains: int
+    colliders: int
+    forks: int
+
+
+@dataclass(frozen=True)
+class Violation:
+    """One structured verifier finding."""
+
+    kind: str  # DUPLICATE_ARC | FOREIGN_ARC | MISCLASSIFIED_MOTIF | COVERAGE_GAP
+    detail: str
+    motifs: tuple[int, ...] = ()  # offending positions in the motif list
+    arc: Arc | None = None
+
+
+@dataclass(frozen=True)
+class MotifCollection:
+    """An ordered family of motifs over one TT_n.
+
+    The container itself enforces nothing beyond the order being
+    positive: arc-disjointness, canonical form, and vertex ranges are
+    judged by its cached walk and reported by `verify`, which must be
+    able to inspect broken collections instead of never seeing them.
+    """
+
+    n: int
+    motifs: tuple[Motif, ...]
+
+    def __post_init__(self) -> None:
+        check_order(self.n)
+
+    @cached_property
+    def _arc_walk(self) -> tuple[dict[int, int], tuple[Violation, ...], MotifCounts]:
+        """The one loop over the motifs, and the only place that judges one.
+
+        Each arc (tail, head) of TT_n is keyed as the int tail*(n+1)+head,
+        which sorts like the pair.  Returns a user of each used arc; the
+        violations: one per motif that is not canonical, in position
+        order, then one per arc that canonical motifs share, in arc order,
+        naming every user; and the tally of the kind tags, compared with
+        ``==`` so that any tag can be counted.
+
+        A canonical motif (a known kind on a tuple of three ints
+        1 <= a < b < c <= n) uses its two arcs.  Any other is judged after
+        the loop by the first check it fails: known kind, three int
+        vertices, ascending, inside 1..n.  One of a known kind on three
+        ints still uses those of its arcs that lie in TT_n, but, already
+        rejected, shares none; the rest use nothing."""
+        n = self.n
+        stride = n + 1
+        first_user: dict[int, int] = {}
+        shared: dict[Arc, list[int]] = {}
+        flagged: list[int] = []
+        claim = first_user.setdefault
+        chains = colliders = forks = 0
+        for index, (kind, vertices) in enumerate(self.motifs):
+            if type(vertices) is tuple and len(vertices) == 3:
+                a, b, c = vertices
+                if type(a) is int and type(b) is int and type(c) is int and 0 < a < b < c <= n:
+                    if kind == CHAIN:
+                        chains += 1
+                        key1 = a * stride + b
+                        key2 = b * stride + c
+                    elif kind == FORK:
+                        forks += 1
+                        key1 = a * stride + b
+                        key2 = a * stride + c
+                    elif kind == COLLIDER:
+                        colliders += 1
+                        key1 = a * stride + c
+                        key2 = b * stride + c
+                    else:
+                        flagged.append(index)
+                        continue
+                    user = claim(key1, index)
+                    if user != index:
+                        shared.setdefault(divmod(key1, stride), [user]).append(index)
+                    user = claim(key2, index)
+                    if user != index:
+                        shared.setdefault(divmod(key2, stride), [user]).append(index)
+                    continue
+            flagged.append(index)
+        violations: list[Violation] = []
+        for index in flagged:
+            kind, vertices = self.motifs[index]
+            if kind == CHAIN:
+                chains += 1
+            elif kind == FORK:
+                forks += 1
+            elif kind == COLLIDER:
+                colliders += 1
+            else:
+                detail = f"motif {index} has unknown kind {kind!r}"
+                violations.append(Violation(MISCLASSIFIED_MOTIF, detail, motifs=(index,)))
+                continue
+            triple = type(vertices) is tuple and len(vertices) == 3
+            a, b, c = vertices if triple else (None, None, None)
+            if not (type(a) is int and type(b) is int and type(c) is int):
+                detail = f"motif {index} vertices {vertices!r} are not a vertex triple"
+                violations.append(Violation(MISCLASSIFIED_MOTIF, detail, motifs=(index,)))
+                continue
+            if not a < b < c:
+                detail = f"motif {index} vertices ({a},{b},{c}) are not in canonical ascending order"
+                violations.append(Violation(MISCLASSIFIED_MOTIF, detail, motifs=(index,)))
+            else:  # ascending ints of a known kind are flagged only outside 1..n
+                detail = f"motif {index} vertices ({a},{b},{c}) leave 1..{n}"
+                violations.append(Violation(FOREIGN_ARC, detail, motifs=(index,)))
+            tail1, head1, tail2, head2 = motif_arc_ends(kind, a, b, c)
+            for tail, head in ((tail1, head1), (tail2, head2)):
+                if 1 <= tail < head <= n:
+                    claim(tail * stride + head, index)
+        for arc in sorted(shared):
+            detail = f"duplicate arc ({arc[0]},{arc[1]})"
+            violations.append(Violation(DUPLICATE_ARC, detail, motifs=tuple(shared[arc]), arc=arc))
+        return first_user, tuple(violations), MotifCounts(chains, colliders, forks)
+
+    @cached_property
+    def unused_arc_count(self) -> int:
+        """How many arcs of TT_n are in no motif, without listing them."""
+        return self.n * (self.n - 1) // 2 - len(self._arc_walk[0])
+
+    @cached_property
+    def unused_arcs(self) -> frozenset[Arc]:
+        """Arcs of TT_n in no motif."""
+        if not self.unused_arc_count:
+            return frozenset()
+        n = self.n
+        stride = n + 1
+        covered = self._arc_walk[0]
+        return frozenset(
+            (tail, head)
+            for tail in range(1, n)
+            for head in range(tail + 1, n + 1)
+            if tail * stride + head not in covered
+        )
+
+    def lists_unused_arcs(self, arcs: Sequence[Arc]) -> bool:
+        """True iff `arcs` holds each unused arc of TT_n once, in any
+        order.  The length is compared first, so the work is bounded by
+        len(arcs), never by the size of TT_n."""
+        if len(arcs) != self.unused_arc_count:
+            return False
+        n = self.n
+        stride = n + 1
+        covered = self._arc_walk[0]
+        seen: set[int] = set()
+        for tail, head in arcs:
+            if not (type(tail) is int and type(head) is int and 1 <= tail < head <= n):
+                return False
+            key = tail * stride + head
+            if key in covered or key in seen:
+                return False
+            seen.add(key)
+        return True
+
+    @property
+    def counts(self) -> MotifCounts:
+        """Tally of the stored kind tags."""
+        return self._arc_walk[2]
+
+
+@dataclass(frozen=True)
+class VerificationReport:
+    """Verdict on a motif collection.
+
+    `valid` means no violations; `is_decomposition` additionally means
+    the motifs' arcs cover every arc of TT_n exactly once.  Problems are
+    reported, never thrown.
+    """
+
+    n: int
+    valid: bool
+    is_decomposition: bool
+    counts: MotifCounts
+    violations: tuple[Violation, ...] = ()
+
+
+def verify(collection: MotifCollection) -> VerificationReport:
+    """Report on a collection, trusting nothing about its origin.
+
+    Each motif must be canonical (a known kind on three int vertices,
+    strictly ascending) and must use only arcs of TT_n; across motifs
+    every arc may appear at most once.  A canonical motif's two arcs,
+    from `motif_arc_ends`, always form a motif of its own kind, so the
+    kind tag needs no re-derivation.  The collection's one walk over its
+    motifs makes every one of these checks and records each failure as a
+    `Violation`; this reads the walk's violations and its tally of the
+    kind tags, and is the only judge of validity.  It shares no code with
+    the builders, so a construction's result is checked by code that did
+    not make it.
+    """
+    _, violations, counts = collection._arc_walk
+    valid = not violations
+    return VerificationReport(
+        n=collection.n,
+        valid=valid,
+        is_decomposition=valid and collection.unused_arc_count == 0,
+        counts=counts,
+        violations=violations,
+    )

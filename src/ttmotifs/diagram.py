@@ -12,8 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .constructions import MotifCollection
-from .core import check_order
+from .core import MotifCollection, check_order, verify
 
 _BASE62 = "0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 MAX_RENDER_ORDER = 99  # two-character labels and tags stop lining up beyond this
@@ -53,9 +52,9 @@ class Diagram:
         With `highlight`, each dot that belongs to a motif shows that
         motif's index tag instead of '·', so the two arcs of one motif
         share a tag.  Arcs outside every motif keep their plain dot.  Only
-        a collection that `ttmotifs.analysis.verify` accepts is rendered:
-        one in which its walk found a motif that is not canonical, or an
-        arc two motifs share, raises `ValueError`.
+        a collection that `verify` accepts is rendered; any other raises
+        `ValueError`.  From the collection's walk this reads only the map
+        from each used arc to its motif.
         """
         check_render_order(self.n)
         stride = self.n + 1
@@ -65,13 +64,12 @@ class Diagram:
                 raise ValueError(
                     f"collection is over TT_{highlight.n}, diagram over TT_{self.n}"
                 )
-            first_user, shared, problems, _ = highlight._arc_walk
-            if problems or shared:
+            if not verify(highlight).valid:
                 raise ValueError(
                     f"a highlighted collection must hold canonical motifs of TT_{self.n}, "
                     "each arc in one motif only"
                 )
-            tag_of = {key: _tag(index) for key, index in first_user.items()}
+            tag_of = {key: _tag(index) for key, index in highlight._arc_walk[0].items()}
         lines = ["   " + "".join(str(col).ljust(2) for col in range(2, self.n + 1))]
         for row in range(1, self.n):
             cells = []

@@ -16,8 +16,8 @@ import time
 from dataclasses import dataclass
 from itertools import combinations
 
-from .constructions import MotifCollection
-from .core import CHAIN, COLLIDER, FORK, MOTIF_KINDS, Motif, check_kind, check_order, iter_arcs, motif_arcs
+from .core import CHAIN, COLLIDER, FORK, MOTIF_KINDS, Motif, MotifCollection, check_kind
+from .core import check_order, iter_arcs, motif_arcs
 
 DEFAULT_MAX_NODES = 10_000_000
 _MAX_ORDER = 99  # C(n,3) candidates per kind: about 157k motifs at n = 99

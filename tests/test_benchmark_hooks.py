@@ -16,7 +16,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from functools import cached_property
 from pathlib import Path
 
-from ttmotifs import cli
+from ttmotifs import cli, core
 from ttmotifs.constructions import MotifCollection
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -70,6 +70,15 @@ def test_every_patched_cli_name_is_in_the_cli():
 
 def test_unused_arcs_is_still_a_cached_property():
     assert isinstance(MotifCollection.__dict__["unused_arcs"], cached_property)
+
+
+def test_the_tracer_patches_the_core_objects():
+    """The tracer imports `MotifCollection` and `verify` from their old
+    homes; a second copy of either would leave the one the program uses
+    unpatched."""
+    bound = _library_imports(_tracing_tree())
+    assert bound["MotifCollection"] is core.MotifCollection
+    assert bound["verify"] is core.verify
 
 
 def test_every_library_attribute_the_tracer_reads_exists():

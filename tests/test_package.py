@@ -1,5 +1,6 @@
-"""Package-wide rules: the runtime imports only the standard library, and
-the README's library example runs as written."""
+"""Package-wide rules: the runtime imports only the standard library, the
+modules import one another in layers, and the README's library example
+runs as written."""
 
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ import sys
 from pathlib import Path
 
 import ttmotifs
+from ttmotifs import analysis, constructions, core
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted(Path(ttmotifs.__file__).parent.glob("*.py"))
@@ -31,6 +33,41 @@ def test_runtime_imports_only_the_standard_library():
                 if module.split(".")[0] not in sys.stdlib_module_names
             )
     assert outside == set()
+
+
+def _sibling_imports(path: Path) -> set[str]:
+    """The ttmotifs modules that one source file imports.  Only relative
+    imports can name one: every absolute import is of the standard library."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found.update([node.module] if node.module else [alias.name for alias in node.names])
+    return found
+
+
+def test_modules_import_in_layers():
+    """`core` holds the model and its verdict and imports no sibling; the
+    builders, the closed forms, the diagram and the oracle build on `core`
+    alone; only the command line and the package root see the builders.
+    So `verify`, the closed forms and the oracle check the builders with
+    code that shares nothing with them."""
+    imports = {path.stem: _sibling_imports(path) for path in SOURCES}
+    assert imports["core"] == set()
+    for name in ("constructions", "analysis", "diagram", "oracle"):
+        assert imports[name] == {"core"}, name
+    importers = {name for name, found in imports.items() if "constructions" in found}
+    assert importers == {"cli", "__init__"}
+
+
+def test_moved_names_are_the_core_objects_under_their_old_homes():
+    for module, name in [
+        (analysis, "verify"),
+        (analysis, "Violation"),
+        (analysis, "VerificationReport"),
+        (constructions, "MotifCollection"),
+        (constructions, "MotifCounts"),
+    ]:
+        assert getattr(module, name) is getattr(core, name), (module.__name__, name)
 
 
 def test_readme_library_example_runs():
