@@ -12,9 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import CHAIN, COLLIDER, MOTIF_KINDS, MotifCounts, check_kind, check_order
-from .core import (  # re-exported
-    COVERAGE_GAP, DUPLICATE_ARC, FOREIGN_ARC, MISCLASSIFIED_MOTIF, VerificationReport, Violation, verify
-)
+from .core import verify  # re-exported
 
 
 def is_admissible(n: int) -> bool:
@@ -52,6 +50,8 @@ def center_capacity(kind: str, n: int, t: int) -> int:
     out-arcs, and vertex t has t-1 arcs in and n-t arcs out."""
     check_kind(kind)
     check_order(n)
+    if isinstance(t, bool) or not isinstance(t, int):
+        raise ValueError(f"vertex must be an integer, got {t!r}")
     if not 1 <= t <= n:
         raise ValueError(f"vertex {t} outside 1..{n}")
     if kind == CHAIN:
@@ -64,6 +64,7 @@ def center_capacity(kind: str, n: int, t: int) -> int:
 def capacity_sum(kind: str, n: int) -> int:
     """Sum of per-centre capacities; an upper bound on any packing of
     the kind, and in fact equal to packing_number(kind, n)."""
+    check_order(n)
     return sum(center_capacity(kind, n, t) for t in range(1, n + 1))
 
 

@@ -26,7 +26,6 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 
 from .core import CHAIN, COLLIDER, FORK, Motif, MotifCollection, _new_motif
-from .core import MotifCounts  # re-exported
 
 
 def _pairs(dots: Iterable[int]) -> Iterator[tuple[int, int]]:

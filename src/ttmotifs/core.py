@@ -34,7 +34,9 @@ COVERAGE_GAP = "coverage_gap"
 
 
 def check_order(n: int) -> None:
-    """Reject orders below 1."""
+    """Reject anything but an int (a bool is not an order) of at least 1."""
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ValueError(f"order must be an integer, got {n!r}")
     if n < 1:
         raise ValueError(f"order must be at least 1, got {n}")
 
@@ -192,8 +194,8 @@ class Violation:
 class MotifCollection:
     """An ordered family of motifs over one TT_n.
 
-    The container itself enforces nothing beyond the order being
-    positive: arc-disjointness, canonical form, and vertex ranges are
+    The container itself enforces nothing beyond the order being a
+    positive int: arc-disjointness, canonical form, and vertex ranges are
     judged by its cached walk and reported by `verify`, which must be
     able to inspect broken collections instead of never seeing them.
     """
@@ -215,75 +217,68 @@ class MotifCollection:
         naming every user; and the tally of the kind tags, compared with
         ``==`` so that any tag can be counted.
 
-        A canonical motif (a known kind on a tuple of three ints
-        1 <= a < b < c <= n) uses its two arcs.  Any other is judged after
-        the loop by the first check it fails: known kind, three int
-        vertices, ascending, inside 1..n.  One of a known kind on three
-        ints still uses those of its arcs that lie in TT_n, but, already
-        rejected, shares none; the rest use nothing."""
+        Each motif is judged where the loop meets it, by the first check
+        it fails: a (kind, vertices) pair, known kind, three int vertices,
+        ascending, inside 1..n.  A canonical motif (a known kind on a
+        tuple of three ints 1 <= a < b < c <= n) uses its two arcs.  A
+        rejected one of a known kind on three ints sets aside those of its
+        arcs that lie in TT_n; they are claimed after the loop, so they
+        count as used but share nothing.  The rest use nothing."""
         n = self.n
         stride = n + 1
         first_user: dict[int, int] = {}
         shared: dict[Arc, list[int]] = {}
-        flagged: list[int] = []
+        set_aside: list[tuple[int, int]] = []  # (arc key, position) of rejected motifs
+        violations: list[Violation] = []
         claim = first_user.setdefault
         chains = colliders = forks = 0
-        for index, (kind, vertices) in enumerate(self.motifs):
+        for index, entry in enumerate(self.motifs):
+            try:
+                kind, vertices = entry
+            except (TypeError, ValueError):
+                detail = f"motif {index} is not a (kind, vertices) pair: {entry!r}"
+                violations.append(Violation(MISCLASSIFIED_MOTIF, detail, motifs=(index,)))
+                continue
             if type(vertices) is tuple and len(vertices) == 3:
                 a, b, c = vertices
-                if type(a) is int and type(b) is int and type(c) is int and 0 < a < b < c <= n:
-                    if kind == CHAIN:
-                        chains += 1
-                        key1 = a * stride + b
-                        key2 = b * stride + c
-                    elif kind == FORK:
-                        forks += 1
-                        key1 = a * stride + b
-                        key2 = a * stride + c
-                    elif kind == COLLIDER:
-                        colliders += 1
-                        key1 = a * stride + c
-                        key2 = b * stride + c
-                    else:
-                        flagged.append(index)
-                        continue
-                    user = claim(key1, index)
-                    if user != index:
-                        shared.setdefault(divmod(key1, stride), [user]).append(index)
-                    user = claim(key2, index)
-                    if user != index:
-                        shared.setdefault(divmod(key2, stride), [user]).append(index)
-                    continue
-            flagged.append(index)
-        violations: list[Violation] = []
-        for index in flagged:
-            kind, vertices = self.motifs[index]
-            if kind == CHAIN:
+            else:
+                a = b = c = None
+            if kind == CHAIN:  # the two arcs are (a, head1) and (tail2, c)
                 chains += 1
+                head1 = tail2 = b
             elif kind == FORK:
                 forks += 1
+                head1, tail2 = b, a
             elif kind == COLLIDER:
                 colliders += 1
+                head1, tail2 = c, b
             else:
                 detail = f"motif {index} has unknown kind {kind!r}"
                 violations.append(Violation(MISCLASSIFIED_MOTIF, detail, motifs=(index,)))
                 continue
-            triple = type(vertices) is tuple and len(vertices) == 3
-            a, b, c = vertices if triple else (None, None, None)
             if not (type(a) is int and type(b) is int and type(c) is int):
                 detail = f"motif {index} vertices {vertices!r} are not a vertex triple"
                 violations.append(Violation(MISCLASSIFIED_MOTIF, detail, motifs=(index,)))
                 continue
+            if 0 < a < b < c <= n:
+                user = claim(a * stride + head1, index)
+                if user != index:
+                    shared.setdefault((a, head1), [user]).append(index)
+                user = claim(tail2 * stride + c, index)
+                if user != index:
+                    shared.setdefault((tail2, c), [user]).append(index)
+                continue
             if not a < b < c:
                 detail = f"motif {index} vertices ({a},{b},{c}) are not in canonical ascending order"
                 violations.append(Violation(MISCLASSIFIED_MOTIF, detail, motifs=(index,)))
-            else:  # ascending ints of a known kind are flagged only outside 1..n
+            else:  # ascending ints of a known kind are rejected only outside 1..n
                 detail = f"motif {index} vertices ({a},{b},{c}) leave 1..{n}"
                 violations.append(Violation(FOREIGN_ARC, detail, motifs=(index,)))
-            tail1, head1, tail2, head2 = motif_arc_ends(kind, a, b, c)
-            for tail, head in ((tail1, head1), (tail2, head2)):
+            for tail, head in ((a, head1), (tail2, c)):
                 if 1 <= tail < head <= n:
-                    claim(tail * stride + head, index)
+                    set_aside.append((tail * stride + head, index))
+        for key, index in set_aside:
+            claim(key, index)
         for arc in sorted(shared):
             detail = f"duplicate arc ({arc[0]},{arc[1]})"
             violations.append(Violation(DUPLICATE_ARC, detail, motifs=tuple(shared[arc]), arc=arc))
@@ -353,12 +348,13 @@ class VerificationReport:
 def verify(collection: MotifCollection) -> VerificationReport:
     """Report on a collection, trusting nothing about its origin.
 
-    Each motif must be canonical (a known kind on three int vertices,
-    strictly ascending) and must use only arcs of TT_n; across motifs
-    every arc may appear at most once.  A canonical motif's two arcs,
-    from `motif_arc_ends`, always form a motif of its own kind, so the
-    kind tag needs no re-derivation.  The collection's one walk over its
-    motifs makes every one of these checks and records each failure as a
+    Each entry must be a (kind, vertices) pair holding a canonical motif
+    (a known kind on three int vertices, strictly ascending) that uses
+    only arcs of TT_n; across motifs every arc may appear at most once.
+    A canonical motif's two arcs, as `motif_arc_ends` gives them, always
+    form a motif of its own kind, so the kind tag needs no re-derivation.
+    The collection's one loop over its motifs makes every one of these
+    checks where it meets the motif and records each failure as a
     `Violation`; this reads the walk's violations and its tally of the
     kind tags, and is the only judge of validity.  It shares no code with
     the builders, so a construction's result is checked by code that did

@@ -10,22 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ttmotifs.analysis import (
-    DUPLICATE_ARC,
-    FOREIGN_ARC,
-    MISCLASSIFIED_MOTIF,
-    VerificationReport,
-    Violation,
     capacity_sum,
     center_capacity,
     is_admissible,
     mixed_counts,
     packing_number,
     packing_number_table,
-    verify,
 )
 from ttmotifs.constructions import (
-    MotifCollection,
-    MotifCounts,
     construct_chain_max,
     construct_fork_max,
     construct_mixed,
@@ -33,15 +25,26 @@ from ttmotifs.constructions import (
 from ttmotifs.core import (
     CHAIN,
     COLLIDER,
+    DUPLICATE_ARC,
+    FOREIGN_ARC,
     FORK,
+    MISCLASSIFIED_MOTIF,
     MOTIF_KINDS,
     Motif,
+    MotifCollection,
+    MotifCounts,
+    TransitiveTournament,
+    VerificationReport,
+    Violation,
     chain,
     classify_arcs,
     collider,
     fork,
     motif_arc_ends,
+    verify,
 )
+from ttmotifs.diagram import Diagram
+from ttmotifs.oracle import max_packing
 
 
 def test_admissibility():
@@ -117,6 +120,32 @@ def test_center_capacity_rejects_out_of_range_vertex():
         center_capacity(CHAIN, 8, 9)
     with pytest.raises(ValueError):
         center_capacity("triangle", 8, 3)
+    for vertex in (2.5, 2.0, True):
+        with pytest.raises(ValueError, match=f"^vertex must be an integer, got {vertex!r}$"):
+            center_capacity(CHAIN, 8, vertex)
+
+
+ORDER_TAKERS = {
+    "is_admissible": is_admissible,
+    "packing_number": lambda n: packing_number(CHAIN, n),
+    "mixed_counts": mixed_counts,
+    "center_capacity": lambda n: center_capacity(CHAIN, n, 1),
+    "capacity_sum": lambda n: capacity_sum(CHAIN, n),
+    "packing_number_table": packing_number_table,
+    "MotifCollection": lambda n: MotifCollection(n, ()),
+    "TransitiveTournament": TransitiveTournament,
+    "Diagram": Diagram,
+    "max_packing": lambda n: max_packing(CHAIN, n),
+}
+
+
+@pytest.mark.parametrize("order", [5.5, 6.0, True], ids=["fraction", "float", "bool"])
+@pytest.mark.parametrize("take", ORDER_TAKERS.values(), ids=ORDER_TAKERS.keys())
+def test_orders_must_be_integers(take, order):
+    # 6.0 or True would otherwise pass for an order and return a float or a
+    # wrong count; 5.5 would trip an assertion, or pass one under -O.
+    with pytest.raises(ValueError, match=f"^order must be an integer, got {order!r}$"):
+        take(order)
 
 
 def test_capacity_sum_examples():
@@ -244,6 +273,23 @@ def test_verify_reports_an_unhashable_kind(kind):
         Violation(MISCLASSIFIED_MOTIF, f"motif 0 has unknown kind {kind!r}", motifs=(0,)),
     )
     assert tuple(report.counts) == (0, 0, 1)
+
+
+@pytest.mark.parametrize(
+    "entry", [None, 7, (CHAIN,), (CHAIN, (1, 2, 3), "x")], ids=["none", "int", "one-field", "three-fields"]
+)
+def test_an_entry_that_is_not_a_kind_vertices_pair_is_reported_not_raised(entry):
+    # The entry is tallied under no kind and uses no arc; every question
+    # that reads the walk answers instead of raising.
+    collection = MotifCollection(5, (entry, fork(1, 2, 3)))
+    report = verify(collection)
+    assert report.violations == (
+        Violation(MISCLASSIFIED_MOTIF, f"motif 0 is not a (kind, vertices) pair: {entry!r}", motifs=(0,)),
+    )
+    assert tuple(report.counts) == tuple(collection.counts) == (0, 0, 1)
+    assert collection.unused_arc_count == 8
+    with pytest.raises(ValueError, match="must hold canonical motifs"):
+        Diagram(5).render_ascii(highlight=collection)
 
 
 def test_verify_lists_every_user_of_a_shared_arc_in_order():

@@ -5,9 +5,8 @@ from __future__ import annotations
 
 import pytest
 
-from ttmotifs.analysis import MISCLASSIFIED_MOTIF, verify
-from ttmotifs.constructions import MotifCollection, construct_collider_max
-from ttmotifs.core import COLLIDER, FORK, Motif, chain, iter_arcs
+from ttmotifs.constructions import construct_collider_max
+from ttmotifs.core import COLLIDER, FORK, MISCLASSIFIED_MOTIF, Motif, MotifCollection, chain, iter_arcs, verify
 from ttmotifs.diagram import Diagram
 
 

@@ -1,6 +1,6 @@
 """Package-wide rules: the runtime imports only the standard library, the
-modules import one another in layers, and the README's library example
-runs as written."""
+modules import one another in layers, no module keeps an import it does
+not use, and the README's library example runs as written."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ import sys
 from pathlib import Path
 
 import ttmotifs
-from ttmotifs import analysis, constructions, core
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted(Path(ttmotifs.__file__).parent.glob("*.py"))
@@ -59,15 +58,27 @@ def test_modules_import_in_layers():
     assert importers == {"cli", "__init__"}
 
 
-def test_moved_names_are_the_core_objects_under_their_old_homes():
-    for module, name in [
-        (analysis, "verify"),
-        (analysis, "Violation"),
-        (analysis, "VerificationReport"),
-        (constructions, "MotifCollection"),
-        (constructions, "MotifCounts"),
-    ]:
-        assert getattr(module, name) is getattr(core, name), (module.__name__, name)
+def test_every_imported_name_is_used_or_exported():
+    """A name a module imports is used there, sits on an import marked
+    ``# re-exported``, or, in the package root only, is in `__all__`; a
+    move that leaves an import behind fails here."""
+    leftovers = []
+    for path in SOURCES:
+        text = path.read_text(encoding="utf-8")
+        lines = text.splitlines()
+        tree = ast.parse(text)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        exported = set(ttmotifs.__all__) if path.stem == "__init__" else set()
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or getattr(node, "module", None) == "__future__":
+                continue
+            if "# re-exported" in lines[node.lineno - 1]:
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in used and name not in exported:
+                    leftovers.append((path.name, name))
+    assert leftovers == []
 
 
 def test_readme_library_example_runs():
