@@ -27,13 +27,16 @@ _MAX_ORDER = 99  # C(n,3) candidates per kind: about 157k motifs at n = 99
 class SearchBudget:
     """Limits on the search: node expansions and/or wall-clock seconds.
 
-    None means unlimited for that field; a given limit must be positive.
+    None means unlimited for that field; a given limit must be positive,
+    and a node limit must be an int (not a bool or a float).
     """
 
     max_nodes: int | None = DEFAULT_MAX_NODES
     max_time: float | None = None
 
     def __post_init__(self) -> None:
+        if self.max_nodes is not None and type(self.max_nodes) is not int:  # bool is not int
+            raise ValueError(f"max_nodes must be an integer, got {self.max_nodes!r}")
         if self.max_nodes is not None and self.max_nodes <= 0:
             raise ValueError(f"max_nodes must be positive, got {self.max_nodes}")
         if self.max_time is not None and not self.max_time > 0:  # also rejects NaN

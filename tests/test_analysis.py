@@ -18,6 +18,7 @@ from ttmotifs.analysis import (
     packing_number_table,
 )
 from ttmotifs.constructions import (
+    STRATEGIES,
     construct_chain_max,
     construct_fork_max,
     construct_mixed,
@@ -136,6 +137,7 @@ ORDER_TAKERS = {
     "TransitiveTournament": TransitiveTournament,
     "Diagram": Diagram,
     "max_packing": lambda n: max_packing(CHAIN, n),
+    **{build.__name__: build for build in STRATEGIES.values()},
 }
 
 

@@ -138,6 +138,12 @@ def test_motif_arcs_rejects_unknown_kind():
         motif_center(Motif("loop", (1, 2, 3)))
 
 
+@pytest.mark.parametrize("read", [motif_arcs, motif_center], ids=["motif_arcs", "motif_center"])
+def test_unknown_kind_gives_the_kind_check_message(read):
+    with pytest.raises(ValueError, match=r"^unknown motif kind 'loop'; expected one of \("):
+        read(Motif("loop", (1, 2, 3)))
+
+
 @st.composite
 def canonical_motifs(draw, max_n: int = 30):
     n = draw(st.integers(min_value=3, max_value=max_n))

@@ -100,7 +100,7 @@ def test_truncated_search_is_anytime_sound():
 
 
 def test_budget_must_be_positive():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^max_nodes must be positive, got 0$"):
         SearchBudget(max_nodes=0)
     with pytest.raises(ValueError):
         SearchBudget(max_time=-1.0)
@@ -108,6 +108,13 @@ def test_budget_must_be_positive():
         SearchBudget(max_time=float("nan"))
     unlimited = SearchBudget(max_nodes=None, max_time=None)
     assert unlimited.max_nodes is None and unlimited.max_time is None
+
+
+@pytest.mark.parametrize("max_nodes", [True, False, 2.5, 3.0, "5"])
+def test_node_budget_must_be_an_integer(max_nodes):
+    # True would otherwise run a one-node search and 2.5 a fractional budget.
+    with pytest.raises(ValueError, match=f"^max_nodes must be an integer, got {max_nodes!r}$"):
+        SearchBudget(max_nodes=max_nodes)
 
 
 def test_default_budget_is_ten_million_nodes():
