@@ -80,7 +80,7 @@ class PackingNumberTable:
 
 
 def packing_number_table(n: int) -> PackingNumberTable:
-    slots = n * (n - 1) // 4 if n * (n - 1) % 4 == 0 else None
+    slots = n * (n - 1) // 4 if is_admissible(n) else None
     return PackingNumberTable(
         n=n,
         per_kind={kind: packing_number(kind, n) for kind in MOTIF_KINDS},

@@ -113,34 +113,23 @@ def fork(tail: int, head_a: int, head_b: int) -> Motif:
     return Motif(FORK, (tail, b, c))
 
 
-def motif_arc_ends(kind: str, a: int, b: int, c: int) -> tuple[int, int, int, int]:
-    """(tail, head, tail, head) of the two arcs of a kind-motif on the
-    triple (a, b, c), as plain ints for the callers that key arcs by
-    number instead of building them."""
-    check_kind(kind)
-    if kind == CHAIN:
-        return a, b, b, c
-    if kind == COLLIDER:
-        return a, c, b, c
-    return a, b, a, c
-
-
 def motif_arcs(motif: Motif) -> tuple[Arc, Arc]:
-    """The two arcs of a canonical motif."""
-    a, b, c = motif.vertices
-    tail1, head1, tail2, head2 = motif_arc_ends(motif.kind, a, b, c)
-    return (tail1, head1), (tail2, head2)
-
-
-def motif_center(motif: Motif) -> int:
-    """The vertex shared by the motif's two arcs."""
+    """The two arcs of a canonical motif: the one statement of which two
+    arcs of its ascending triple each kind uses."""
     check_kind(motif.kind)
     a, b, c = motif.vertices
     if motif.kind == CHAIN:
-        return b
+        return (a, b), (b, c)
     if motif.kind == COLLIDER:
-        return c
-    return a
+        return (a, c), (b, c)
+    return (a, b), (a, c)
+
+
+def motif_center(motif: Motif) -> int:
+    """The vertex shared by the motif's two arcs: the first arc's head,
+    or its tail for a fork."""
+    (tail, head), _ = motif_arcs(motif)
+    return tail if motif.kind == FORK else head
 
 
 def classify_arcs(a: Arc, b: Arc) -> Motif | None:
@@ -247,7 +236,9 @@ class MotifCollection:
                 a, b, c = vertices
             else:
                 a = b = c = None
-            if kind == CHAIN:  # the two arcs are (a, head1) and (tail2, c)
+            # The two arcs are (a, head1) and (tail2, c).  This mirrors
+            # `motif_arcs`, inline for speed: it runs once per motif.
+            if kind == CHAIN:
                 chains += 1
                 head1 = tail2 = b
             elif kind == FORK:
@@ -359,7 +350,7 @@ def verify(collection: MotifCollection) -> VerificationReport:
     Each entry must be a (kind, vertices) pair holding a canonical motif
     (a known kind on three int vertices, strictly ascending) that uses
     only arcs of TT_n; across motifs every arc may appear at most once.
-    A canonical motif's two arcs, as `motif_arc_ends` gives them, always
+    A canonical motif's two arcs, as `motif_arcs` gives them, always
     form a motif of its own kind, so the kind tag needs no re-derivation.
     The collection's one loop over its motifs makes every one of these
     checks where it meets the motif and records each failure as a

@@ -2,10 +2,11 @@
 
 Cell (row, col) of a virtual (n-1) x (n-1) array — rows 1..n-1,
 columns 2..n — carries a dot exactly when the arc row -> col exists,
-i.e. when row < col.  Two dots in one row form a fork, two dots in one
-column form a collider, and a diagonal pair (i, j), (j, k) forms a
-chain.  That correspondence is what makes the grid useful: packing
-motifs is pairing dots.
+i.e. when row < col, so row i holds the dots of its arcs (i, i+1..n).
+Two dots in one row form a fork, two dots in one column form a
+collider, and a diagonal pair (i, j), (j, k) forms a chain.  That
+correspondence is what makes the grid useful: packing motifs is
+pairing dots.
 """
 
 from __future__ import annotations
@@ -69,14 +70,10 @@ class Diagram:
                     f"a highlighted collection must hold canonical motifs of TT_{self.n}, "
                     "each arc in one motif only"
                 )
-            tag_of = {key: _tag(index) for key, index in highlight._arc_walk[0].items()}
+            tag_of = {key: _tag(index).ljust(2) for key, index in highlight._arc_walk[0].items()}
         lines = ["   " + "".join(str(col).ljust(2) for col in range(2, self.n + 1))]
         for row in range(1, self.n):
-            cells = []
-            for col in range(2, self.n + 1):
-                if row < col:
-                    cells.append(tag_of.get(row * stride + col, "·"))
-                else:
-                    cells.append("")
-            lines.append(f"{row:>2} " + "".join(cell.ljust(2) for cell in cells))
+            # Columns 2..row are blank; the arcs (row, row+1..n) fill the rest.
+            cells = (tag_of.get(row * stride + head, "· ") for head in range(row + 1, self.n + 1))
+            lines.append(f"{row:>2} " + "  " * (row - 1) + "".join(cells))
         return "\n".join(line.rstrip() for line in lines)

@@ -28,7 +28,8 @@ class SearchBudget:
     """Limits on the search: node expansions and/or wall-clock seconds.
 
     None means unlimited for that field; a given limit must be positive,
-    and a node limit must be an int (not a bool or a float).
+    a node limit must be an int (not a bool or a float), and a time limit
+    an int or a float (not a bool).
     """
 
     max_nodes: int | None = DEFAULT_MAX_NODES
@@ -39,6 +40,8 @@ class SearchBudget:
             raise ValueError(f"max_nodes must be an integer, got {self.max_nodes!r}")
         if self.max_nodes is not None and self.max_nodes <= 0:
             raise ValueError(f"max_nodes must be positive, got {self.max_nodes}")
+        if self.max_time is not None and type(self.max_time) not in (int, float):
+            raise ValueError(f"max_time must be a number of seconds, got {self.max_time!r}")
         if self.max_time is not None and not self.max_time > 0:  # also rejects NaN
             raise ValueError(f"max_time must be positive, got {self.max_time}")
 
@@ -198,6 +201,8 @@ def pure_decomposition_exists(kind: str, n: int, budget: SearchBudget | None = N
     exist and the question answers itself).  Returns True or False when
     the search settles it, None when the budget ran out first.
     """
+    check_kind(kind)
+    _check_search_order(n)
     if n % 4 not in (0, 1):
         raise ValueError(f"n = {n} is not admissible (needs n = 0 or 1 mod 4)")
     target = n * (n - 1) // 4

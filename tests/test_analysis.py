@@ -41,11 +41,11 @@ from ttmotifs.core import (
     classify_arcs,
     collider,
     fork,
-    motif_arc_ends,
+    motif_arcs,
     verify,
 )
 from ttmotifs.diagram import Diagram
-from ttmotifs.oracle import max_packing
+from ttmotifs.oracle import max_p3_packing_undirected, max_packing, pure_decomposition_exists
 
 
 def test_admissibility():
@@ -137,15 +137,20 @@ ORDER_TAKERS = {
     "TransitiveTournament": TransitiveTournament,
     "Diagram": Diagram,
     "max_packing": lambda n: max_packing(CHAIN, n),
+    "max_p3_packing_undirected": max_p3_packing_undirected,
+    "pure_decomposition_exists": lambda n: pure_decomposition_exists(CHAIN, n),
     **{build.__name__: build for build in STRATEGIES.values()},
 }
 
 
-@pytest.mark.parametrize("order", [5.5, 6.0, True], ids=["fraction", "float", "bool"])
+@pytest.mark.parametrize(
+    "order", [5.5, 6.0, True, "8", None], ids=["fraction", "float", "bool", "str", "none"]
+)
 @pytest.mark.parametrize("take", ORDER_TAKERS.values(), ids=ORDER_TAKERS.keys())
 def test_orders_must_be_integers(take, order):
     # 6.0 or True would otherwise pass for an order and return a float or a
-    # wrong count; 5.5 would trip an assertion, or pass one under -O.
+    # wrong count; 5.5 would trip an assertion, pass one under -O, or be
+    # called inadmissible; "8" and None would raise TypeError in arithmetic.
     with pytest.raises(ValueError, match=f"^order must be an integer, got {order!r}$"):
         take(order)
 
@@ -316,13 +321,12 @@ def test_verify_counts_follow_declared_tags():
 def test_every_canonical_motif_keeps_its_kind(n):
     """verify trusts a canonical motif's kind tag without re-deriving it:
     for every kind and every ascending triple, the two arcs that
-    `motif_arc_ends` gives classify back to the same motif, and the
+    `motif_arcs` gives classify back to the same motif, and the
     motif alone is a valid collection."""
     for kind in MOTIF_KINDS:
         for triple in combinations(range(1, n + 1), 3):
             motif = Motif(kind, triple)
-            tail1, head1, tail2, head2 = motif_arc_ends(kind, *triple)
-            assert classify_arcs((tail1, head1), (tail2, head2)) == motif
+            assert classify_arcs(*motif_arcs(motif)) == motif
             report = verify(MotifCollection(n, (motif,)))
             assert report.valid and not report.violations, motif
 
@@ -417,9 +421,8 @@ def _referee(collection: MotifCollection) -> VerificationReport:
         elif a < 1 or c > n:
             problem = FOREIGN_ARC, f"motif {index} vertices ({a},{b},{c}) leave 1..{n}"
         else:
-            tail1, head1, tail2, head2 = motif_arc_ends(kind, a, b, c)
-            users.setdefault((tail1, head1), []).append(index)
-            users.setdefault((tail2, head2), []).append(index)
+            for arc in motif_arcs(Motif(kind, vertices)):
+                users.setdefault(arc, []).append(index)
             continue
         violations.append(Violation(*problem, motifs=(index,)))
     for arc in sorted(users):

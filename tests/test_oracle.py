@@ -106,6 +106,7 @@ def test_budget_must_be_positive():
         SearchBudget(max_time=-1.0)
     with pytest.raises(ValueError):
         SearchBudget(max_time=float("nan"))
+    assert SearchBudget(max_time=1).max_time == 1
     unlimited = SearchBudget(max_nodes=None, max_time=None)
     assert unlimited.max_nodes is None and unlimited.max_time is None
 
@@ -115,6 +116,13 @@ def test_node_budget_must_be_an_integer(max_nodes):
     # True would otherwise run a one-node search and 2.5 a fractional budget.
     with pytest.raises(ValueError, match=f"^max_nodes must be an integer, got {max_nodes!r}$"):
         SearchBudget(max_nodes=max_nodes)
+
+
+@pytest.mark.parametrize("max_time", [True, False, "5"])
+def test_time_budget_must_be_a_number(max_time):
+    # True would otherwise run a one-second search, and "5" raise TypeError.
+    with pytest.raises(ValueError, match=f"^max_time must be a number of seconds, got {max_time!r}$"):
+        SearchBudget(max_time=max_time)
 
 
 def test_default_budget_is_ten_million_nodes():
@@ -129,6 +137,8 @@ def test_oracle_rejects_bad_arguments():
         max_packing(CHAIN, 0)
     with pytest.raises(ValueError):
         max_p3_packing_undirected(0)
+    with pytest.raises(ValueError, match="^unknown motif kind 'junk'"):
+        pure_decomposition_exists("junk", 6)  # the kind is checked before admissibility
 
 
 def test_search_accepts_order_99_under_a_one_node_budget():
@@ -146,6 +156,7 @@ def test_search_rejects_orders_above_99_before_building_anything(monkeypatch):
         lambda: max_packing(CHAIN, 100, SearchBudget(max_nodes=1)),
         lambda: max_p3_packing_undirected(100, SearchBudget(max_nodes=1)),
         lambda: pure_decomposition_exists(FORK, 100, SearchBudget(max_nodes=1)),
+        lambda: pure_decomposition_exists(FORK, 102),  # inadmissible, and too large
         lambda: max_packing(COLLIDER, 10_000),
     ):
         with pytest.raises(ValueError, match="n <= 99"):
