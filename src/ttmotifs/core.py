@@ -313,7 +313,11 @@ class MotifCollection:
         stride = n + 1
         covered = self._arc_walk[0]
         seen: set[int] = set()
-        for tail, head in arcs:
+        for arc in arcs:
+            try:
+                tail, head = arc
+            except (TypeError, ValueError):  # not a pair
+                return False
             if not (type(tail) is int and type(head) is int and 1 <= tail < head <= n):
                 return False
             key = tail * stride + head

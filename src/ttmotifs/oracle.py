@@ -2,8 +2,10 @@
 
 A deliberately independent cross-check on the closed-form counts and
 the constructions: depth-first branch and bound over the candidate
-motifs of TT_n, in fixed lexicographic order, pruning with per-centre
-capacity bounds recomputed on the residual arc supply.  The search is
+motifs of TT_n, in fixed lexicographic order, pruning with an upper
+bound that follows from the kinds searched, recomputed on the residual
+arc supply: per-centre capacities for one kind, per-component counts
+for several.  The search is
 fully deterministic under a node budget, and it is anytime-sound: the
 reported optimum always comes with a witness packing, so even a
 truncated run certifies a lower bound.  Orders above 99 are rejected:
@@ -12,6 +14,7 @@ the candidates are built before the budget counts a node.
 
 from __future__ import annotations
 
+import sys
 import time
 from dataclasses import dataclass
 from itertools import combinations
@@ -29,7 +32,8 @@ class SearchBudget:
 
     None means unlimited for that field; a given limit must be positive,
     a node limit must be an int (not a bool or a float), and a time limit
-    an int or a float (not a bool).
+    an int or a float (not a bool), where an int may not exceed the
+    largest float; float("inf") is accepted.
     """
 
     max_nodes: int | None = DEFAULT_MAX_NODES
@@ -44,6 +48,8 @@ class SearchBudget:
             raise ValueError(f"max_time must be a number of seconds, got {self.max_time!r}")
         if self.max_time is not None and not self.max_time > 0:  # also rejects NaN
             raise ValueError(f"max_time must be positive, got {self.max_time}")
+        if type(self.max_time) is int and self.max_time > sys.float_info.max:  # the deadline is a float
+            raise ValueError("max_time must be at most sys.float_info.max seconds")
 
 
 @dataclass(frozen=True)
@@ -73,18 +79,19 @@ def _candidates(n: int, kinds: tuple[str, ...]) -> list[Motif]:
     return [Motif(kind, triple) for triple in combinations(range(1, n + 1), 3) for kind in kinds]
 
 
-def _solve(n: int, candidates: list[Motif], bound_kind: str, budget: SearchBudget) -> OracleResult:
-    """Shared branch-and-bound core.
+def _solve(n: int, kinds: tuple[str, ...], budget: SearchBudget) -> OracleResult:
+    """Shared branch-and-bound core over the candidates of `kinds`.
 
-    `bound_kind` picks the admissible upper bound recomputed at every
-    node from the arcs still free: per-centre capacities for the pure
-    kinds, per-component floor(arcs/2) for the mixed search.
+    The admissible upper bound is recomputed at every node from the arcs
+    still free: for one kind, each centre's capacity (a chain needs one
+    arc in and one out, a collider two in, a fork two out); for several,
+    floor(arcs/2) per component of the free graph.
     """
     arcs = list(iter_arcs(n))
     arc_index = {arc: k for k, arc in enumerate(arcs)}
     cand = [
         (motif, arc_index[pair[0]], arc_index[pair[1]])
-        for motif in candidates
+        for motif in _candidates(n, kinds)
         for pair in [motif_arcs(motif)]
     ]
     used = [False] * len(arcs)
@@ -100,22 +107,13 @@ def _solve(n: int, candidates: list[Motif], bound_kind: str, budget: SearchBudge
             free_out[tail] += step
             free_in[head] += step
 
-    if bound_kind == CHAIN:
+    if len(kinds) == 1:
+        capacity = {CHAIN: min, COLLIDER: lambda i, o: i // 2, FORK: lambda i, o: o // 2}[kinds[0]]
 
         def bound() -> int:
-            return sum(min(free_in[t], free_out[t]) for t in range(2, n))
+            return sum(map(capacity, free_in, free_out))
 
-    elif bound_kind == COLLIDER:
-
-        def bound() -> int:
-            return sum(free_in[t] // 2 for t in range(3, n + 1))
-
-    elif bound_kind == FORK:
-
-        def bound() -> int:
-            return sum(free_out[t] // 2 for t in range(1, n - 1))
-
-    else:  # mixed: each component of the free graph packs floor(edges/2) motifs
+    else:  # each component of the free graph packs at most floor(arcs/2) motifs
 
         def bound() -> int:
             parent = list(range(n + 1))
@@ -148,12 +146,13 @@ def _solve(n: int, candidates: list[Motif], bound_kind: str, budget: SearchBudge
     # Depth first: each entry visits a node that may take the first free
     # candidate from `start` on, after giving back candidate `release`
     # when that node is the "without it" branch of its parent.
-    stack: list[tuple[int, int, int | None]] = [(0, 0, None)]
+    stack: list[tuple[int, int | None]] = [(0, None)]
     while stack:
-        start, size, release = stack.pop()
+        start, release = stack.pop()
         if release is not None:
             toggle(release)
             selection.pop()
+        size = len(selection)
         nodes += 1
         if nodes > max_nodes or (deadline is not None and time.monotonic() > deadline):
             exhausted = False
@@ -170,8 +169,8 @@ def _solve(n: int, candidates: list[Motif], bound_kind: str, budget: SearchBudge
         if size + 1 > best:
             best = size + 1
             best_selection = tuple(selection)
-        stack.append((index + 1, size, index))
-        stack.append((index + 1, size + 1, None))
+        stack.append((index + 1, index))
+        stack.append((index + 1, None))
     return OracleResult(
         optimum=best,
         witness=MotifCollection(n, best_selection),
@@ -184,14 +183,14 @@ def max_packing(kind: str, n: int, budget: SearchBudget | None = None) -> Oracle
     """Maximum arc-disjoint packing of one motif kind, by exact search."""
     check_kind(kind)
     _check_search_order(n)
-    return _solve(n, _candidates(n, (kind,)), kind, budget or SearchBudget())
+    return _solve(n, (kind,), budget or SearchBudget())
 
 
 def max_p3_packing_undirected(n: int, budget: SearchBudget | None = None) -> OracleResult:
     """Maximum packing into motifs of any kind — equivalently, the
     orientation-blind packing of K_n's edges into paths of two edges."""
     _check_search_order(n)
-    return _solve(n, _candidates(n, MOTIF_KINDS), "mixed", budget or SearchBudget())
+    return _solve(n, MOTIF_KINDS, budget or SearchBudget())
 
 
 def pure_decomposition_exists(kind: str, n: int, budget: SearchBudget | None = None) -> bool | None:

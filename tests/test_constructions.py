@@ -288,6 +288,9 @@ def test_lists_unused_arcs_compares_as_a_set_of_distinct_arcs():
         [(2, 4), (4, 3)],           # reversed
         [(2, 4), (0, 4)],           # foreign
         [(2, 4), (3, 4), (1, 4)],
+        [(2, 4), 5],                # not pairs: right count, nothing to unpack
+        [(2, 4), None],
+        [(2, 4), (1, 2, 3)],
     ):
         assert not collection.lists_unused_arcs(wrong), wrong
 

@@ -125,6 +125,14 @@ def test_time_budget_must_be_a_number(max_time):
         SearchBudget(max_time=max_time)
 
 
+def test_time_budget_must_fit_a_float():
+    # The deadline is monotonic() + max_time, which overflows for such an int.
+    with pytest.raises(ValueError, match="^max_time must be at most sys.float_info.max seconds$"):
+        SearchBudget(max_time=10**400)
+    unlimited = SearchBudget(max_time=float("inf"))  # what `--max-time 1e400` gives the CLI
+    assert max_packing(CHAIN, 5, unlimited).exhausted
+
+
 def test_default_budget_is_ten_million_nodes():
     assert SearchBudget().max_nodes == 10_000_000
     assert SearchBudget().max_time is None
@@ -161,6 +169,16 @@ def test_search_rejects_orders_above_99_before_building_anything(monkeypatch):
     ):
         with pytest.raises(ValueError, match="n <= 99"):
             search()
+
+
+def test_chain_search_at_order_9_runs_out_of_a_200k_node_budget():
+    # This is the oracle-sweep benchmark's budget, and this search is why
+    # its certified share is 0.9.  The optimum is 16 (packing_number).  The
+    # arc-branching search of ROADMAP item 2 changes this test on purpose:
+    # it should then certify 16, exhausted.
+    result = max_packing(CHAIN, 9, SearchBudget(max_nodes=200_000))
+    assert (result.optimum, result.exhausted, result.nodes) == (14, False, 200_001)
+    assert verify(result.witness).valid
 
 
 def test_pure_decomposition_never_exists_for_single_kinds():
