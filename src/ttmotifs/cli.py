@@ -273,15 +273,7 @@ def _report(report: VerificationReport, collection: MotifCollection) -> tuple[di
         "unused_arcs": collection.unused_arc_count,
         "valid": report.valid,
         "is_decomposition": report.is_decomposition,
-        "violations": [
-            {
-                "kind": violation.kind,
-                "detail": violation.detail,
-                "motifs": list(violation.motifs),
-                "arc": list(violation.arc) if violation.arc is not None else None,
-            }
-            for violation in report.violations
-        ],
+        "violations": [violation._asdict() for violation in report.violations],
     }
     lines = [
         f"n: {payload['n']}",
@@ -343,15 +335,10 @@ def cmd_counts(args: argparse.Namespace) -> int:
         "admissible": admissible,
         "arcs": TransitiveTournament(n).arc_count,
         "motif_slots": table.total_motif_slots,
-        "packing_numbers": {kind: table.per_kind[kind] for kind in MOTIF_KINDS},
+        "packing_numbers": table.per_kind,
         "mixed_counts": mixed_counts(n)._asdict() if admissible else None,
         "center_capacities": [
-            {
-                "vertex": t,
-                "chain": center_capacity(CHAIN, n, t),
-                "collider": center_capacity(COLLIDER, n, t),
-                "fork": center_capacity(FORK, n, t),
-            }
+            {"vertex": t, **{kind: center_capacity(kind, n, t) for kind in MOTIF_KINDS}}
             for t in range(1, n + 1)
         ],
     }
@@ -364,8 +351,8 @@ def cmd_counts(args: argparse.Namespace) -> int:
         f"motif slots: {slots if slots is not None else '-'}",
         f"packing numbers: {_tally(payload['packing_numbers'])}",
         f"mixed counts: {_tally(mixed) if mixed is not None else '- (not admissible)'}",
-        "center capacities (vertex: chain collider fork):",
-        *(f"  {row['vertex']}: {row['chain']} {row['collider']} {row['fork']}" for row in rows),
+        f"center capacities (vertex: {' '.join(MOTIF_KINDS)}):",
+        *(f"  {row['vertex']}: {' '.join(str(row[kind]) for kind in MOTIF_KINDS)}" for row in rows),
     ]
     _write(args.format, payload, lines)
     return EXIT_DECOMPOSITION
@@ -483,15 +470,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     counts = subparsers.add_parser("counts", help="closed-form counts for TT_n")
     counts.add_argument("--n", required=True, type=lambda v: _positive_order(counts, v))
-    counts.add_argument("--format", choices=("json", "text"), default="text")
-    counts.set_defaults(func=cmd_counts)
 
     verify_cmd = subparsers.add_parser(
         "verify", help="verify a collection document (JSON from --input or stdin)"
     )
     verify_cmd.add_argument("--input", help="path to the document; '-' or absent reads stdin")
-    verify_cmd.add_argument("--format", choices=("json", "text"), default="text")
-    verify_cmd.set_defaults(func=cmd_verify)
 
     oracle_cmd = subparsers.add_parser(
         "oracle", help="exact branch-and-bound maximum packing search"
@@ -503,8 +486,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     oracle_cmd.add_argument("--max-time", type=float, help="wall-clock budget in seconds")
     oracle_cmd.add_argument("--witness", action="store_true", help="print the witness packing")
-    oracle_cmd.add_argument("--format", choices=("json", "text"), default="text")
-    oracle_cmd.set_defaults(func=cmd_oracle)
+
+    # Each of these prints one payload, as JSON or as text lines; `--format`
+    # comes last in its help and usage.
+    for subparser, command in ((counts, cmd_counts), (verify_cmd, cmd_verify), (oracle_cmd, cmd_oracle)):
+        subparser.add_argument("--format", choices=("json", "text"), default="text")
+        subparser.set_defaults(func=command)
 
     return parser
 

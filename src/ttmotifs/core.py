@@ -173,9 +173,9 @@ class MotifCounts(NamedTuple):
     forks: int
 
 
-@dataclass(frozen=True)
-class Violation:
-    """One structured verifier finding."""
+class Violation(NamedTuple):
+    """One structured verifier finding; its fields are one entry of the
+    verify report."""
 
     kind: str  # DUPLICATE_ARC | FOREIGN_ARC | MISCLASSIFIED_MOTIF | COVERAGE_GAP
     detail: str

@@ -74,11 +74,6 @@ def _check_search_order(n: int) -> None:
         raise ValueError(f"exact search supports n <= {_MAX_ORDER}, got {n}")
 
 
-def _candidates(n: int, kinds: tuple[str, ...]) -> list[Motif]:
-    """All canonical motifs of the given kinds, lexicographic by (triple, kind)."""
-    return [Motif(kind, triple) for triple in combinations(range(1, n + 1), 3) for kind in kinds]
-
-
 def _solve(n: int, kinds: tuple[str, ...], budget: SearchBudget) -> OracleResult:
     """Shared branch-and-bound core over the candidates of `kinds`.
 
@@ -89,9 +84,11 @@ def _solve(n: int, kinds: tuple[str, ...], budget: SearchBudget) -> OracleResult
     """
     arcs = list(iter_arcs(n))
     arc_index = {arc: k for k, arc in enumerate(arcs)}
+    # Every canonical motif of `kinds`, lexicographic by (triple, kind).
     cand = [
         (motif, arc_index[pair[0]], arc_index[pair[1]])
-        for motif in _candidates(n, kinds)
+        for triple in combinations(range(1, n + 1), 3) for kind in kinds
+        for motif in [Motif(kind, triple)]
         for pair in [motif_arcs(motif)]
     ]
     used = [False] * len(arcs)

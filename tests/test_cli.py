@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import hashlib
 import io
 import json
 import os
@@ -757,6 +758,34 @@ def test_fifty_main_calls_build_the_parser_once(monkeypatch):
     for n in range(1, 51):
         assert _outcome(["counts", "--n", str(n)])[0] == 0
     assert built.count("ttmotifs") == 1
+
+
+PARSER_TEXT_ARGVS = (
+    ["--help"],
+    ["decompose", "--help"],
+    ["counts", "--help"],
+    ["verify", "--help"],
+    ["oracle", "--help"],
+    ["counts"],
+    ["decompose", "--n", "0"],
+    ["verify", "--format", "x"],
+    ["oracle", "--n", "3"],
+)
+# Recorded before the parser declared the shared `--format` in one loop;
+# argparse's wording is the interpreter's, so this pins one Python version.
+PARSER_TEXT_DIGEST = "618f63a6df7729dccab89c0a78d888987b2d5edb83aef7097ad978da8235c115"
+
+
+def test_help_and_usage_text_is_unchanged(monkeypatch):
+    """The help of the program and of each subcommand, and four usage
+    errors, at a fixed terminal width: exit code, stdout and stderr."""
+    monkeypatch.setenv("COLUMNS", "80")
+    digest = hashlib.sha256()
+    for argv in PARSER_TEXT_ARGVS:
+        code, out, err = _outcome(argv)
+        digest.update(f"{argv}\0code={code}\0".encode())
+        digest.update(out.encode() + b"\0" + err.encode() + b"\0")
+    assert digest.hexdigest() == PARSER_TEXT_DIGEST
 
 
 # --- text and JSON are two views of one result ------------------------------

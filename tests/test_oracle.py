@@ -157,9 +157,9 @@ def test_search_accepts_order_99_under_a_one_node_budget():
 
 def test_search_rejects_orders_above_99_before_building_anything(monkeypatch):
     def no_setup(*args):
-        raise AssertionError("candidates built for a rejected order")
+        raise AssertionError("search set up for a rejected order")
 
-    monkeypatch.setattr(ttmotifs.oracle, "_candidates", no_setup)
+    monkeypatch.setattr(ttmotifs.oracle, "_solve", no_setup)
     for search in (
         lambda: max_packing(CHAIN, 100, SearchBudget(max_nodes=1)),
         lambda: max_p3_packing_undirected(100, SearchBudget(max_nodes=1)),

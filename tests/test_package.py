@@ -1,15 +1,20 @@
 """Package-wide rules: the runtime imports only the standard library, the
 modules import one another in layers, no module keeps an import it does
-not use, and the README's library example runs as written."""
+not use, and the README's library and command-line examples run as
+written."""
 
 from __future__ import annotations
 
 import ast
+import io
 import re
+import shlex
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import ttmotifs
+from ttmotifs import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted(Path(ttmotifs.__file__).parent.glob("*.py"))
@@ -86,3 +91,25 @@ def test_readme_library_example_runs():
     section = readme.split("\n## Library\n", 1)[1]
     (snippet,) = re.findall(r"^```python\n(.*?)^```", section.split("\n## ", 1)[0], re.M | re.S)
     exec(compile(snippet, "README.md", "exec"), {})
+
+
+def test_readme_command_line_examples_run(monkeypatch):
+    """Each `ttmotifs …` line of the "Command line" block runs through
+    `cli.main` in-process and exits 0; a pipe feeds the left command's
+    stdout to the right command's stdin."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    (block,) = re.findall(r"^```sh\n(.*?)^```", section, re.M | re.S)
+    examples = [line for line in block.splitlines() if line.startswith("ttmotifs ")]
+    assert examples
+    for example in examples:
+        piped = ""
+        for command in example.split("|"):
+            program, *argv = shlex.split(command)
+            assert program == "ttmotifs", example
+            monkeypatch.setattr(sys, "stdin", io.StringIO(piped))
+            out = io.StringIO()
+            with redirect_stdout(out), redirect_stderr(io.StringIO()):
+                assert cli.main(argv) == 0, command
+            piped = out.getvalue()
+        assert piped, example
