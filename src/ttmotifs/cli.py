@@ -72,12 +72,23 @@ def document_from_collection(collection: MotifCollection) -> CollectionDocument:
     )
 
 
-def _json_block(key: str, items: list[str], last: bool = False) -> str:
-    """An indented JSON array field with one item per line."""
+# Motifs per piece of an encoded document: big enough that the pieces
+# are few, small enough that one piece's strings are a small share of it.
+_MOTIFS_PER_PIECE = 4096
+
+
+def _json_block(key: str, pieces: list[str], last: bool = False) -> list[str]:
+    """An indented JSON array field with one item per line, as strings to
+    join.  Each piece is one item, or several joined as the block joins
+    them."""
     comma = "" if last else ","
-    if not items:
-        return f'  "{key}": []{comma}'
-    return f'  "{key}": [\n    ' + ",\n    ".join(items) + f"\n  ]{comma}"
+    if not pieces:
+        return [f'  "{key}": []{comma}\n']
+    parts = [f'  "{key}": [\n    ']
+    for piece in pieces:
+        parts += (piece, ",\n    ")
+    parts[-1] = f"\n  ]{comma}\n"
+    return parts
 
 
 def _motif_object(motif: Motif) -> dict[str, Any]:
@@ -86,23 +97,30 @@ def _motif_object(motif: Motif) -> dict[str, Any]:
 
 
 def document_to_json(document: CollectionDocument) -> str:
+    """The document as indented JSON, one motif or unused arc per line.
+    The motif lines are joined `_MOTIFS_PER_PIECE` at a time and the
+    document once, so the encoder holds about two copies of its output,
+    not a string per motif besides."""
     # One f-string per motif writes what json.dumps(_motif_object(motif))
     # would, for the three kind names and int vertices.
-    motifs = [
-        f'{{"type": "{kind}", "vertices": [{a}, {b}, {c}]}}'
-        for kind, (a, b, c) in document.motifs
+    motifs = document.motifs
+    pieces = [
+        ",\n    ".join([
+            f'{{"type": "{kind}", "vertices": [{a}, {b}, {c}]}}'
+            for kind, (a, b, c) in motifs[start : start + _MOTIFS_PER_PIECE]
+        ])
+        for start in range(0, len(motifs), _MOTIFS_PER_PIECE)
     ]
     unused = [f"[{tail}, {head}]" for tail, head in document.unused_arcs]
-    lines = [
-        "{",
-        f'  "schema_version": {json.dumps(SCHEMA_VERSION)},',
-        f'  "n": {document.n},',
-        f'  "kind": {json.dumps(document.kind)},',
-        _json_block("motifs", motifs),
-        _json_block("unused_arcs", unused, last=True),
-        "}",
-    ]
-    return "\n".join(lines) + "\n"
+    return "".join([
+        "{\n",
+        f'  "schema_version": {json.dumps(SCHEMA_VERSION)},\n',
+        f'  "n": {document.n},\n',
+        f'  "kind": {json.dumps(document.kind)},\n',
+        *_json_block("motifs", pieces),
+        *_json_block("unused_arcs", unused, last=True),
+        "}\n",
+    ])
 
 
 def _expect_int(value: Any, what: str) -> int:

@@ -183,6 +183,42 @@ class Violation(NamedTuple):
     arc: Arc | None = None
 
 
+# The walk's arc table is a list of every key when TT_n has at most this
+# many keys per motif.  The list costs 8 bytes a key, so at most 128 bytes
+# a motif; a dict of used keys costs about 130 bytes a motif (tracemalloc,
+# fork-max n = 400 and 782, CPython 3.11), and claims more slowly.
+_DENSE_SLOTS_PER_MOTIF = 16
+
+
+class _SparseArcs(dict):
+    """The walk's arc table where TT_n has far more keys than the motifs
+    use: the used keys only.  A free key reads as -1 and is not inserted,
+    so looking one up never grows the table."""
+
+    __slots__ = ()
+
+    def __missing__(self, key: int) -> int:
+        return -1
+
+
+def _shown(value: object) -> str:
+    """`repr(value)` for a violation detail.  An int past the interpreter's
+    int-to-str digit limit, which `repr` refuses, shows as its bit length,
+    also inside a tuple or list; any other value that `repr` refuses shows
+    as its type."""
+    try:
+        return repr(value)
+    except ValueError:
+        if isinstance(value, int):
+            return f"<int of {value.bit_length()} bits>"
+        if isinstance(value, list):
+            return f"[{', '.join(map(_shown, value))}]"
+        if isinstance(value, tuple):
+            items = ", ".join(map(_shown, value))
+            return f"({items},)" if len(value) == 1 else f"({items})"
+        return f"<{type(value).__name__}>"
+
+
 @dataclass(frozen=True)
 class MotifCollection:
     """An ordered family of motifs over one TT_n.
@@ -200,15 +236,21 @@ class MotifCollection:
         check_order(self.n)
 
     @cached_property
-    def _arc_walk(self) -> tuple[dict[int, int], tuple[Violation, ...], MotifCounts]:
+    def _arc_walk(self) -> tuple[list[int] | _SparseArcs, tuple[Violation, ...], MotifCounts]:
         """The one loop over the motifs, and the only place that judges one.
 
         Each arc (tail, head) of TT_n is keyed as the int tail*(n+1)+head,
-        which sorts like the pair.  Returns a user of each used arc; the
-        violations: one per motif that is not canonical, in position
+        which sorts like the pair.  Returns the arc table, which maps each
+        key to the position of the arc's first user, or -1 for a free arc;
+        the violations: one per motif that is not canonical, in position
         order, then one per arc that canonical motifs share, in arc order,
         naming every user; and the tally of the kind tags, compared with
         ``==`` so that any tag can be counted.
+
+        The table is a list of all (n+1)**2 keys when that is at most
+        `_DENSE_SLOTS_PER_MOTIF` slots per motif, and otherwise a
+        `_SparseArcs` dict, so a few motifs at a huge order allocate
+        nothing of size n**2.  Both read ``table[key]``.
 
         Each motif is judged where the loop meets it, by the first check
         it fails: a (kind, vertices) pair, known kind, three int vertices,
@@ -216,20 +258,23 @@ class MotifCollection:
         tuple of three ints 1 <= a < b < c <= n) uses its two arcs.  A
         rejected one of a known kind on three ints sets aside those of its
         arcs that lie in TT_n; they are claimed after the loop, so they
-        count as used but share nothing.  The rest use nothing."""
+        count as used but share nothing.  The rest use nothing.  A detail
+        shows each value as `_shown` does, so no value makes the walk
+        raise."""
         n = self.n
         stride = n + 1
-        first_user: dict[int, int] = {}
+        slots = stride * stride
+        table: list[int] | _SparseArcs
+        table = [-1] * slots if slots <= _DENSE_SLOTS_PER_MOTIF * len(self.motifs) else _SparseArcs()
         shared: dict[Arc, list[int]] = {}
         set_aside: list[tuple[int, int]] = []  # (arc key, position) of rejected motifs
         violations: list[Violation] = []
-        claim = first_user.setdefault
         chains = colliders = forks = 0
         for index, entry in enumerate(self.motifs):
             try:
                 kind, vertices = entry
             except (TypeError, ValueError):
-                detail = f"motif {index} is not a (kind, vertices) pair: {entry!r}"
+                detail = f"motif {index} is not a (kind, vertices) pair: {_shown(entry)}"
                 violations.append(Violation(MISCLASSIFIED_MOTIF, detail, motifs=(index,)))
                 continue
             if type(vertices) is tuple and len(vertices) == 3:
@@ -248,60 +293,82 @@ class MotifCollection:
                 colliders += 1
                 head1, tail2 = c, b
             else:
-                detail = f"motif {index} has unknown kind {kind!r}"
+                detail = f"motif {index} has unknown kind {_shown(kind)}"
                 violations.append(Violation(MISCLASSIFIED_MOTIF, detail, motifs=(index,)))
                 continue
             if not (type(a) is int and type(b) is int and type(c) is int):
-                detail = f"motif {index} vertices {vertices!r} are not a vertex triple"
+                detail = f"motif {index} vertices {_shown(vertices)} are not a vertex triple"
                 violations.append(Violation(MISCLASSIFIED_MOTIF, detail, motifs=(index,)))
                 continue
             if 0 < a < b < c <= n:
-                user = claim(a * stride + head1, index)
-                if user != index:
-                    shared.setdefault((a, head1), [user]).append(index)
-                user = claim(tail2 * stride + c, index)
-                if user != index:
-                    shared.setdefault((tail2, c), [user]).append(index)
+                key = a * stride + head1
+                if table[key] < 0:
+                    table[key] = index
+                else:
+                    shared.setdefault((a, head1), [table[key]]).append(index)
+                key = tail2 * stride + c
+                if table[key] < 0:
+                    table[key] = index
+                else:
+                    shared.setdefault((tail2, c), [table[key]]).append(index)
                 continue
+            triple = f"({_shown(a)},{_shown(b)},{_shown(c)})"
             if not a < b < c:
-                detail = f"motif {index} vertices ({a},{b},{c}) are not in canonical ascending order"
+                detail = f"motif {index} vertices {triple} are not in canonical ascending order"
                 violations.append(Violation(MISCLASSIFIED_MOTIF, detail, motifs=(index,)))
             else:  # ascending ints of a known kind are rejected only outside 1..n
-                detail = f"motif {index} vertices ({a},{b},{c}) leave 1..{n}"
+                detail = f"motif {index} vertices {triple} leave 1..{_shown(n)}"
                 violations.append(Violation(FOREIGN_ARC, detail, motifs=(index,)))
             for tail, head in ((a, head1), (tail2, c)):
                 if 1 <= tail < head <= n:
                     set_aside.append((tail * stride + head, index))
         for key, index in set_aside:
-            claim(key, index)
+            if table[key] < 0:
+                table[key] = index
         for arc in sorted(shared):
-            detail = f"duplicate arc ({arc[0]},{arc[1]})"
+            detail = f"duplicate arc ({_shown(arc[0])},{_shown(arc[1])})"
             violations.append(Violation(DUPLICATE_ARC, detail, motifs=tuple(shared[arc]), arc=arc))
-        return first_user, tuple(violations), MotifCounts(chains, colliders, forks)
+        return table, tuple(violations), MotifCounts(chains, colliders, forks)
 
     @cached_property
     def unused_arc_count(self) -> int:
         """How many arcs of TT_n are in no motif, without listing them."""
-        return self.n * (self.n - 1) // 2 - len(self._arc_walk[0])
+        table = self._arc_walk[0]
+        used = len(table) - table.count(-1) if type(table) is list else len(table)
+        return self.n * (self.n - 1) // 2 - used
 
     @cached_property
     def unused_arcs(self) -> frozenset[Arc]:
         """Arcs of TT_n in no motif."""
         if not self.unused_arc_count:
             return frozenset()
-        # A double loop of its own, not `iter_arcs`: testing each arc tuple
-        # from `iter_arcs` took 43-46 ms against 28 ms here at n = 802 (the
-        # mixed strategy, one unused arc; best of 5, three rounds), and
-        # `decompose` derives the unused arcs of every packing.
         n = self.n
         stride = n + 1
-        covered = self._arc_walk[0]
-        return frozenset(
-            (tail, head)
-            for tail in range(1, n)
-            for head in range(tail + 1, n + 1)
-            if tail * stride + head not in covered
-        )
+        table = self._arc_walk[0]
+        if type(table) is not list:
+            return frozenset(
+                (tail, head)
+                for tail in range(1, n)
+                for head in range(tail + 1, n + 1)
+                if tail * stride + head not in table
+            )
+        # Row `tail` holds the keys of the arcs (tail, tail+1..n), and
+        # `list.index` finds each free one at C speed: 4.3 ms at n = 802
+        # (the mixed strategy, one unused arc; best of 7, CPython 3.11 on a
+        # 2-core machine), where a Python loop testing each key of a dict
+        # table took 27.7 ms.  `decompose` derives the unused arcs of every
+        # packing.
+        unused = []
+        for tail in range(1, n):
+            row = tail * stride
+            key, end = row + tail, row + stride
+            while True:
+                try:
+                    key = table.index(-1, key + 1, end)
+                except ValueError:
+                    break
+                unused.append((tail, key - row))
+        return frozenset(unused)
 
     def lists_unused_arcs(self, arcs: Sequence[Arc]) -> bool:
         """True iff `arcs` holds each unused arc of TT_n once, in any
@@ -311,7 +378,7 @@ class MotifCollection:
             return False
         n = self.n
         stride = n + 1
-        covered = self._arc_walk[0]
+        table = self._arc_walk[0]
         seen: set[int] = set()
         for arc in arcs:
             try:
@@ -321,7 +388,7 @@ class MotifCollection:
             if not (type(tail) is int and type(head) is int and 1 <= tail < head <= n):
                 return False
             key = tail * stride + head
-            if key in covered or key in seen:
+            if table[key] >= 0 or key in seen:
                 return False
             seen.add(key)
         return True

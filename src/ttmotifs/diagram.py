@@ -54,12 +54,13 @@ class Diagram:
         motif's index tag instead of '·', so the two arcs of one motif
         share a tag.  Arcs outside every motif keep their plain dot.  Only
         a collection that `verify` accepts is rendered; any other raises
-        `ValueError`.  From the collection's walk this reads only the map
-        from each used arc to its motif.
+        `ValueError`.  From the collection's walk this reads only the arc
+        table, cell by cell: the motif of each used arc, -1 for a free one.
         """
         check_render_order(self.n)
         stride = self.n + 1
-        tag_of: dict[int, str] = {}  # keyed like MotifCollection._arc_walk
+        table = None  # MotifCollection._arc_walk's arc table, keyed row * stride + col
+        tags = ["· "]  # tags[user] for each cell; a free arc's -1 picks the plain dot
         if highlight is not None:
             if highlight.n != self.n:
                 raise ValueError(
@@ -70,10 +71,14 @@ class Diagram:
                     f"a highlighted collection must hold canonical motifs of TT_{self.n}, "
                     "each arc in one motif only"
                 )
-            tag_of = {key: _tag(index).ljust(2) for key, index in highlight._arc_walk[0].items()}
+            table = highlight._arc_walk[0]
+            tags = [_tag(index).ljust(2) for index in range(len(highlight.motifs))] + tags
         lines = ["   " + "".join(str(col).ljust(2) for col in range(2, self.n + 1))]
         for row in range(1, self.n):
             # Columns 2..row are blank; the arcs (row, row+1..n) fill the rest.
-            cells = (tag_of.get(row * stride + head, "· ") for head in range(row + 1, self.n + 1))
-            lines.append(f"{row:>2} " + "  " * (row - 1) + "".join(cells))
+            if table is None:
+                cells = "· " * (self.n - row)
+            else:
+                cells = "".join([tags[table[row * stride + head]] for head in range(row + 1, self.n + 1)])
+            lines.append(f"{row:>2} " + "  " * (row - 1) + cells)
         return "\n".join(line.rstrip() for line in lines)

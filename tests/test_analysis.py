@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 from itertools import combinations
 
 import pytest
@@ -37,6 +38,7 @@ from ttmotifs.core import (
     TransitiveTournament,
     VerificationReport,
     Violation,
+    _DENSE_SLOTS_PER_MOTIF,
     chain,
     classify_arcs,
     collider,
@@ -396,6 +398,75 @@ def test_verifier_agrees_with_first_principles_on_mutations():
     assert flagged and passed  # the fuzz must exercise both outcomes
 
 
+BIG = 10**5000  # past the default 4,300-digit int-to-str limit
+SHOWN_BIG = f"<int of {BIG.bit_length()} bits>"
+
+
+@pytest.fixture
+def default_digit_limit():
+    """The interpreter's default int-to-str digit limit, whatever the
+    environment set."""
+    set_limit = getattr(sys, "set_int_max_str_digits", None)  # absent before 3.10.7
+    if set_limit is None:
+        pytest.fail("this interpreter has no int-to-str digit limit")
+    saved = sys.get_int_max_str_digits()
+    set_limit(4300)
+    yield
+    set_limit(saved)
+
+
+@pytest.mark.parametrize(
+    "entry, violation",
+    [
+        (
+            Motif(CHAIN, (BIG, 2, 3)),
+            (MISCLASSIFIED_MOTIF, f"motif 0 vertices ({SHOWN_BIG},2,3) are not in canonical ascending order"),
+        ),
+        (
+            Motif(FORK, (1, BIG, 3)),
+            (MISCLASSIFIED_MOTIF, f"motif 0 vertices (1,{SHOWN_BIG},3) are not in canonical ascending order"),
+        ),
+        (Motif(COLLIDER, (1, 2, BIG)), (FOREIGN_ARC, f"motif 0 vertices (1,2,{SHOWN_BIG}) leave 1..5")),
+        (
+            Motif(CHAIN, (1, 2.0, BIG)),
+            (MISCLASSIFIED_MOTIF, f"motif 0 vertices (1, 2.0, {SHOWN_BIG}) are not a vertex triple"),
+        ),
+        (Motif(BIG, (1, 2, 3)), (MISCLASSIFIED_MOTIF, f"motif 0 has unknown kind {SHOWN_BIG}")),
+        ((BIG,), (MISCLASSIFIED_MOTIF, f"motif 0 is not a (kind, vertices) pair: ({SHOWN_BIG},)")),
+        (
+            (CHAIN, (1, 2), [BIG, "x"]),
+            (MISCLASSIFIED_MOTIF, f"motif 0 is not a (kind, vertices) pair: ('chain', (1, 2), [{SHOWN_BIG}, 'x'])"),
+        ),
+        (
+            (CHAIN, {"v": BIG}, 3),
+            (MISCLASSIFIED_MOTIF, "motif 0 is not a (kind, vertices) pair: ('chain', <dict>, 3)"),
+        ),
+    ],
+    ids=["first-vertex", "second-vertex", "third-vertex", "not-a-triple", "kind", "one-field", "in-a-list", "in-a-dict"],
+)
+def test_the_walk_shows_an_int_past_the_digit_limit_by_its_bit_length(default_digit_limit, entry, violation):
+    # repr refuses such an int; the walk still reports, never raises.
+    collection = MotifCollection(5, (entry, fork(2, 3, 4)))
+    report = verify(collection)
+    assert report.violations == (Violation(*violation, motifs=(0,)),)
+    # The fork uses (2, 3) and (2, 4).  The rejected fork (1, BIG, 3) sets
+    # aside (1, 3); no other entry names a further arc of TT_5.
+    assert collection.unused_arc_count == (7 if entry[0] == FORK else 8)
+
+
+def test_the_walk_shows_an_order_past_the_digit_limit_by_its_bit_length(default_digit_limit):
+    top = chain(BIG - 2, BIG - 1, BIG)
+    collection = MotifCollection(BIG, (Motif(CHAIN, (0, 1, 2)), top, top))
+    report = verify(collection)
+    assert report.violations == (
+        Violation(FOREIGN_ARC, f"motif 0 vertices (0,1,2) leave 1..{SHOWN_BIG}", motifs=(0,)),
+        Violation(DUPLICATE_ARC, f"duplicate arc ({SHOWN_BIG},{SHOWN_BIG})", motifs=(1, 2), arc=(BIG - 2, BIG - 1)),
+        Violation(DUPLICATE_ARC, f"duplicate arc ({SHOWN_BIG},{SHOWN_BIG})", motifs=(1, 2), arc=(BIG - 1, BIG)),
+    )
+    # (1, 2), set aside by the rejected chain, and the two arcs of `top`.
+    assert collection.unused_arc_count == BIG * (BIG - 1) // 2 - 3
+
+
 # --- verify against a referee -----------------------------------------------
 
 
@@ -440,15 +511,20 @@ def _referee(collection: MotifCollection) -> VerificationReport:
     )
 
 
+def _entries(vertex: st.SearchStrategy[int]) -> st.SearchStrategy[Motif]:
+    """Motif entries of every shape the walk judges, on vertices drawn from `vertex`."""
+    return st.tuples(
+        st.sampled_from(MOTIF_KINDS + ("triangle", [CHAIN], {FORK: 1})),
+        st.one_of(
+            st.tuples(vertex, vertex, vertex),
+            st.lists(vertex, min_size=3, max_size=3).map(lambda v: tuple(sorted(v))),
+            st.lists(st.one_of(vertex, st.floats(), st.booleans()), max_size=4).map(tuple),
+        ),
+    ).map(lambda entry: Motif(*entry))
+
+
 _VERTEX = st.integers(-1, 14)
-_ENTRIES = st.tuples(
-    st.sampled_from(MOTIF_KINDS + ("triangle", [CHAIN], {FORK: 1})),
-    st.one_of(
-        st.tuples(_VERTEX, _VERTEX, _VERTEX),
-        st.lists(_VERTEX, min_size=3, max_size=3).map(lambda v: tuple(sorted(v))),
-        st.lists(st.one_of(_VERTEX, st.floats(), st.booleans()), max_size=4).map(tuple),
-    ),
-).map(lambda entry: Motif(*entry))
+_ENTRIES = _entries(_VERTEX)
 
 
 @settings(max_examples=400, deadline=None)
@@ -458,3 +534,57 @@ def test_verify_matches_the_referee_on_library_collections(n, pool, data):
     picks = data.draw(st.lists(st.sampled_from(pool), max_size=16))
     collection = MotifCollection(n, tuple(picks))
     assert verify(collection) == _referee(collection)
+
+
+def _assert_unused_arcs_match_their_definition(collection: MotifCollection) -> None:
+    """The unused arcs are the arcs of TT_n that no entry names, where an
+    entry of a known kind on a tuple of three ints names the two arcs
+    `motif_arcs` reads from it, canonical or not."""
+    n = collection.n
+    arcs = {(tail, head) for tail in range(1, n) for head in range(tail + 1, n + 1)}
+    named = set()
+    for kind, vertices in collection.motifs:
+        if kind in MOTIF_KINDS and type(vertices) is tuple and len(vertices) == 3:
+            if all(type(v) is int for v in vertices):
+                named.update(motif_arcs(Motif(kind, vertices)))
+    unused = sorted(arcs - named)
+    used = sorted(arcs & named)
+    assert collection.unused_arcs == frozenset(unused)
+    assert collection.unused_arc_count == len(unused)
+    assert collection.lists_unused_arcs(unused)
+    assert collection.lists_unused_arcs(unused[::-1])
+    assert not collection.lists_unused_arcs(unused + [(1, 1)])
+    if used and unused:
+        assert not collection.lists_unused_arcs(unused[:-1] + used[:1])
+    if len(unused) > 1:
+        assert not collection.lists_unused_arcs(unused[:-1] + unused[:1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 12), pool=st.lists(_ENTRIES, min_size=1, max_size=8), data=st.data())
+def test_the_dense_arc_table_matches_the_referee_and_the_definitions(n, pool, data):
+    # Enough motifs that the walk lists every key of TT_n.
+    least = -(-((n + 1) ** 2) // _DENSE_SLOTS_PER_MOTIF)
+    picks = data.draw(st.lists(st.sampled_from(pool), min_size=least, max_size=least + 32))
+    collection = MotifCollection(n, tuple(picks))
+    assert type(collection._arc_walk[0]) is list
+    assert verify(collection) == _referee(collection)
+    _assert_unused_arcs_match_their_definition(collection)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(60, 200),
+    pool=st.lists(_entries(st.integers(-1, 14) | st.integers(55, 202)), min_size=1, max_size=8),
+    data=st.data(),
+)
+def test_the_sparse_arc_table_matches_the_referee_and_the_definitions(n, pool, data):
+    # So few motifs at so large an order that the walk keeps only the used keys.
+    picks = data.draw(st.lists(st.sampled_from(pool), max_size=16))
+    collection = MotifCollection(n, tuple(picks))
+    table = collection._arc_walk[0]
+    assert type(table) is not list
+    assert verify(collection) == _referee(collection)
+    used = len(table)
+    _assert_unused_arcs_match_their_definition(collection)
+    assert len(table) == used  # no lookup of a free key stored it

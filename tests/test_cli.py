@@ -362,6 +362,32 @@ def test_verify_work_is_bounded_by_the_document(capsys, monkeypatch, fmt):
         )
 
 
+def test_verify_of_a_few_motifs_at_a_huge_order_is_bounded(capsys, monkeypatch):
+    # One canonical motif near n, one past it: the walk keeps only the
+    # keys they use, never a table of size n**2.
+    motifs = [{"type": "chain", "vertices": [99998, 99999, 100000]}, {"type": "fork", "vertices": [1, 2, 10**30]}]
+    text = _document_text(100000, "packing", motifs, [])
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    tracemalloc.start()
+    try:
+        code = main(["verify"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    out, err = capsys.readouterr()
+    assert peak < 1_000_000
+    assert code == 1
+    assert err == ""
+    assert f"  motif 1 vertices (1,2,{10**30}) leave 1..100000: motifs 1\n" in out
+    collection = document_from_json(text).to_collection()
+    table = collection._arc_walk[0]
+    used = len(table)
+    assert used == 3  # the chain's two arcs and the fork's (1, 2)
+    assert not collection.lists_unused_arcs([])
+    assert not collection.lists_unused_arcs([(1, 2)])
+    assert len(table) == used
+
+
 def test_verify_coverage_gap_on_wrong_declared_kind(capsys, monkeypatch):
     # A single chain over TT_3 covers only 2 of 3 arcs yet claims otherwise.
     text = _document_text(3, "decomposition", [{"type": "chain", "vertices": [1, 2, 3]}], [])
@@ -572,6 +598,55 @@ def test_encoder_matches_json_dumps_and_round_trips(document):
     assert text == _json_dumps_encoding(document)
     assert document_from_json(text) == document
     assert document_to_json(document_from_json(text)) == text
+
+
+def _one_join_encoding(document: CollectionDocument) -> str:
+    """The document encoder as one join of per-motif strings; the
+    encoder joins its motifs a piece at a time and must match it byte
+    for byte."""
+
+    def block(key, items, last=False):
+        comma = "" if last else ","
+        if not items:
+            return f'  "{key}": []{comma}'
+        return f'  "{key}": [\n    ' + ",\n    ".join(items) + f"\n  ]{comma}"
+
+    motifs = [f'{{"type": "{kind}", "vertices": [{a}, {b}, {c}]}}' for kind, (a, b, c) in document.motifs]
+    unused = [f"[{tail}, {head}]" for tail, head in document.unused_arcs]
+    lines = [
+        "{",
+        f'  "schema_version": {json.dumps("1")},',
+        f'  "n": {document.n},',
+        f'  "kind": {json.dumps(document.kind)},',
+        block("motifs", motifs),
+        block("unused_arcs", unused, last=True),
+        "}",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("pieces, extra", [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (2, 1)])
+def test_encoder_is_the_one_join_formula_at_every_piece_boundary(pieces, extra):
+    count = pieces * cli._MOTIFS_PER_PIECE + extra
+    motifs = tuple(Motif(MOTIF_KINDS[i % 3], (i + 1, i + 2, i + 3)) for i in range(count))
+    for unused in ((), ((1, 3),), ((1, 3), (2, 5))):
+        document = CollectionDocument(n=count + 3, kind="packing", motifs=motifs, unused_arcs=unused)
+        text = document_to_json(document)
+        assert text == _one_join_encoding(document)
+        assert document_from_json(text) == document
+
+
+def test_encoder_holds_about_two_copies_of_its_output():
+    # Measured at 2.0 times the output's length: the joined pieces and
+    # the document.  One string per motif and three whole joins took 5.0.
+    document = document_from_collection(STRATEGIES["fork-max"](400))
+    tracemalloc.start()
+    try:
+        text = document_to_json(document)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * len(text)
 
 
 @settings(max_examples=300)

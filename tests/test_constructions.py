@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -372,3 +374,18 @@ def test_every_arc_question_reads_one_walk_over_the_motifs():
     assert tuple(collection.counts) == (4, 2, 12)
     Diagram(9).render_ascii(highlight=collection)
     assert collection.motifs.iterations == 1
+
+
+def test_the_walk_of_a_large_decomposition_holds_a_few_bytes_per_key():
+    # Measured at 15 bytes per key of TT_n (8 for the table's slot, the
+    # rest for the motif positions it holds); a dict of the used keys
+    # took 39.
+    n = 400
+    collection = MotifCollection(n, construct_fork_max(n).motifs)
+    tracemalloc.start()
+    try:
+        collection._arc_walk
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * (n + 1) ** 2
