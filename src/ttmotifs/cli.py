@@ -17,14 +17,15 @@ import functools
 import json
 import os
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace
+from itertools import islice
 from typing import IO, Any
 
 from .analysis import center_capacity, is_admissible, mixed_counts, packing_number, packing_number_table
 from .constructions import STRATEGIES
 from .core import CHAIN, COLLIDER, COVERAGE_GAP, FORK, MOTIF_KINDS, Arc, Motif, MotifCollection
-from .core import TransitiveTournament, VerificationReport, Violation, _new_motif, verify
+from .core import TransitiveTournament, VerificationReport, Violation, _PackedMotifs, _motif_rows, verify
 from .diagram import Diagram, check_render_order
 from .oracle import DEFAULT_MAX_NODES, SearchBudget, max_packing
 
@@ -49,7 +50,7 @@ class CollectionDocument:
 
     n: int
     kind: str  # declared: "decomposition" | "packing"
-    motifs: tuple[Motif, ...]
+    motifs: Sequence[Motif]
     unused_arcs: tuple[Arc, ...]  # declared
 
     def to_collection(self) -> MotifCollection:
@@ -103,13 +104,13 @@ def document_to_json(document: CollectionDocument) -> str:
     not a string per motif besides."""
     # One f-string per motif writes what json.dumps(_motif_object(motif))
     # would, for the three kind names and int vertices.
-    motifs = document.motifs
+    rows = _motif_rows(document.motifs)
     pieces = [
         ",\n    ".join([
             f'{{"type": "{kind}", "vertices": [{a}, {b}, {c}]}}'
-            for kind, (a, b, c) in motifs[start : start + _MOTIFS_PER_PIECE]
+            for kind, a, b, c in islice(rows, _MOTIFS_PER_PIECE)
         ])
-        for start in range(0, len(motifs), _MOTIFS_PER_PIECE)
+        for _ in range(0, len(document.motifs), _MOTIFS_PER_PIECE)
     ]
     unused = [f"[{tail}, {head}]" for tail, head in document.unused_arcs]
     return "".join([
@@ -129,21 +130,6 @@ def _expect_int(value: Any, what: str) -> int:
     return value
 
 
-def _motif_hook(entry: dict[str, Any]) -> Any:
-    """Object hook for json.loads: an object that passes every check
-    `_document_from_payload` makes of a motif entry becomes its Motif as
-    soon as it is decoded, so its dict and vertex list never pile up.
-    json.loads builds only plain dicts, lists, strs and ints, so exact
-    type tests suffice."""
-    motif_type = entry.get("type")
-    vertices = entry.get("vertices")
-    if motif_type in MOTIF_KINDS and type(vertices) is list and len(vertices) == 3:
-        a, b, c = vertices
-        if type(a) is int and type(b) is int and type(c) is int:
-            return _new_motif(motif_type, (a, b, c))
-    return entry
-
-
 def _decode(text: str, object_hook: Callable[[dict[str, Any]], Any] | None = None) -> Any:
     try:
         return json.loads(text, object_hook=object_hook)
@@ -159,17 +145,48 @@ def document_from_json(text: str) -> CollectionDocument:
     """Parse and structurally validate a document; content problems
     (bad canonical form, duplicate arcs, wrong declared kind) are left
     for verification."""
-    payload = _decode(text, _motif_hook)
-    try:
-        return _document_from_payload(payload)
-    except DocumentError:
-        # The hook also turns motif-shaped objects outside the motif
-        # list into Motifs.  Decode again without it, so that every
-        # message shows the values as the document wrote them.
-        return _document_from_payload(_decode(text))
+    packed = _PackedMotifs()
+    stored = object()  # what the hook returns for each motif it packs
+    add_kind, add_vertices = packed.kinds.append, packed.vertices.extend
+
+    def pack(entry: dict[str, Any]) -> Any:
+        """Object hook for json.loads: an object that passes every check
+        `_document_from_payload` makes of a motif entry goes into `packed`
+        as soon as it is decoded, so its dict and vertex list never pile
+        up.  json.loads builds only plain dicts, lists, strs and ints, so
+        exact type tests suffice."""
+        motif_type = entry.get("type")
+        vertices = entry.get("vertices")
+        if motif_type in MOTIF_KINDS and type(vertices) is list and len(vertices) == 3:
+            a, b, c = vertices
+            if type(a) is int and type(b) is int and type(c) is int:
+                try:
+                    add_vertices(vertices)
+                except OverflowError:  # a vertex past 64 signed bits keeps its entry a dict
+                    del packed.vertices[3 * len(packed.kinds) :]
+                    return entry
+                add_kind(MOTIF_KINDS.index(motif_type))
+                return stored
+        return entry
+
+    payload = _decode(text, pack)
+    raw_motifs = payload.get("motifs") if type(payload) is dict else None
+    # Keep the packed motifs only when the motif list is exactly the
+    # markers, all of them.  Otherwise (an entry the hook left a dict, a
+    # motif-shaped object elsewhere), or on any error, decode again
+    # without the hook, so that every message shows the values as the
+    # document wrote them.
+    if type(raw_motifs) is list and len(raw_motifs) == len(packed) == raw_motifs.count(stored):
+        try:
+            return _document_from_payload(payload, packed)
+        except DocumentError:
+            pass
+    return _document_from_payload(_decode(text))
 
 
-def _document_from_payload(payload: Any) -> CollectionDocument:
+def _document_from_payload(payload: Any, packed: _PackedMotifs | None = None) -> CollectionDocument:
+    """The document a decoded payload holds.  `packed`, when given, holds
+    the motifs of the payload's motif list, which is its markers only."""
     if not isinstance(payload, dict):
         raise DocumentError("document must be a JSON object")
     if payload.get("schema_version") != SCHEMA_VERSION:
@@ -194,10 +211,7 @@ def _document_from_payload(payload: Any) -> CollectionDocument:
     if not isinstance(raw_motifs, list):
         raise DocumentError("motifs must be a list")
     motifs: list[Motif] = []
-    for position, entry in enumerate(raw_motifs):
-        if type(entry) is Motif:  # decoded by _motif_hook
-            motifs.append(entry)
-            continue
+    for position, entry in enumerate(raw_motifs if packed is None else ()):
         if not isinstance(entry, dict):
             raise DocumentError(f"motif {position} must be an object")
         motif_type = entry.get("type")
@@ -216,7 +230,9 @@ def _document_from_payload(payload: Any) -> CollectionDocument:
         if not isinstance(entry, list) or len(entry) != 2:
             raise DocumentError(f"unused arc {position} must be a [tail, head] pair")
         unused.append(tuple(_expect_int(v, f"unused arc {position} endpoint") for v in entry))
-    return CollectionDocument(n=n, kind=kind, motifs=tuple(motifs), unused_arcs=tuple(unused))
+    return CollectionDocument(
+        n=n, kind=kind, motifs=tuple(motifs) if packed is None else packed, unused_arcs=tuple(unused)
+    )
 
 
 # --- arrow notation ---------------------------------------------------------

@@ -20,39 +20,42 @@ exactly for n = 2, 3 (mod 4).
 Every construction checks its order first, as every entry point does,
 and is then a pure function of n; emission order is the construction's
 own sweep order, so repeated calls produce identical motif lists.  The
-builders emit each motif with its triple already ascending, so they
-build it with the unchecked `ttmotifs.core._new_motif` rather than
-through the checking constructors;
-`decompose` runs `ttmotifs.core.verify` on every result all the same.
-Only the command line and the package root import this module, so the
+builders emit each motif with its triple already ascending, and write
+whole runs of motifs, zipped from ranges of vertices, into a
+`ttmotifs.core._PackedMotifs` at once (`_put`), never one `Motif` at a
+time; `decompose` runs `ttmotifs.core.verify` on every result all the
+same.  Only the command line and the package root import this module, so the
 verifier, the closed forms, the diagram and the oracle share no code with
 what they check.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Sequence
+from itertools import chain, repeat
 
-from .core import CHAIN, COLLIDER, FORK, Motif, MotifCollection, _new_motif, check_order
-
-
-def _pairs(dots: Iterable[int]) -> Iterator[tuple[int, int]]:
-    """Consecutive dots paired off in order: (d0, d1), (d2, d3), ...;
-    an odd last dot is left out, and the caller decides where it goes:
-    `_row_sweep` hands a row's to `_column_n_colliders`, and
-    `construct_collider_max` pairs a column's into forks."""
-    it = iter(dots)
-    return zip(it, it)
+from .core import CHAIN, COLLIDER, FORK, MOTIF_KINDS, MotifCollection, _PackedMotifs, check_order
 
 
-def _column_n_colliders(n: int, tails: Iterable[int]) -> Iterator[Motif]:
+def _put(motifs: _PackedMotifs, kind: str, *columns: Iterable[int]) -> None:
+    """Append the motifs of one kind on the vertex triples that zip takes
+    from `columns`, as many as the shortest column holds; `repeat(v)`
+    gives the same vertex v to every triple."""
+    vertices = motifs.vertices
+    start = len(vertices)
+    vertices.extend(chain.from_iterable(zip(*columns)))
+    motifs.kinds.extend(bytes([MOTIF_KINDS.index(kind)]) * ((len(vertices) - start) // 3))
+
+
+def _column_n_colliders(n: int, tails: Sequence[int], motifs: _PackedMotifs) -> None:
     """The column-n dots (t, n), t in `tails`, paired in order into
-    colliders with head n."""
-    return (_new_motif(COLLIDER, (a, b, n)) for a, b in _pairs(tails))
+    colliders with head n; an odd last tail stays unpaired."""
+    _put(motifs, COLLIDER, tails[0::2], tails[1::2], repeat(n))
 
 
-def _row_sweep(n: int, starts: Iterable[int], motifs: list[Motif]) -> list[Motif]:
-    """Extend `motifs`, the motifs emitted before the sweep, and return it.
+def _row_sweep(n: int, starts: Iterable[int], motifs: _PackedMotifs) -> MotifCollection:
+    """Extend `motifs`, the motifs emitted before the sweep, and return
+    their collection.
 
     Row i (1, 2, ...) pairs its dots into forks left to right, from its
     first free column, the i-th of `starts`, to column n.  A row of odd
@@ -61,12 +64,12 @@ def _row_sweep(n: int, starts: Iterable[int], motifs: list[Motif]) -> list[Motif
     which builder called it: the start columns carry the difference."""
     odd_rows: list[int] = []
     for i, start in enumerate(starts, 1):
-        cols = range(start, n + 1)
-        motifs.extend(_new_motif(FORK, (i, b, c)) for b, c in _pairs(cols))
-        if len(cols) % 2 == 1:
+        # The forks (i, b, b+1), b = start, start+2, ...
+        _put(motifs, FORK, repeat(i), range(start, n, 2), range(start + 1, n + 1, 2))
+        if (n + 1 - start) % 2 == 1:
             odd_rows.append(i)  # the unpaired dot is (i, n)
-    motifs.extend(_column_n_colliders(n, odd_rows))
-    return motifs
+    _column_n_colliders(n, odd_rows, motifs)
+    return MotifCollection(n, motifs)
 
 
 def construct_mixed(n: int) -> MotifCollection:
@@ -80,9 +83,10 @@ def construct_mixed(n: int) -> MotifCollection:
     """
     check_order(n)
     half = (n - 1) // 2  # chain m takes the diagonal dots of rows 2m-1 and 2m
-    chains = [_new_motif(CHAIN, (2 * m - 1, 2 * m, 2 * m + 1)) for m in range(1, half + 1)]
+    motifs = _PackedMotifs()
+    _put(motifs, CHAIN, range(1, 2 * half, 2), range(2, 2 * half + 1, 2), range(3, 2 * half + 2, 2))
     starts = [i + 2 if i <= 2 * half else i + 1 for i in range(1, n)]
-    return MotifCollection(n, tuple(_row_sweep(n, starts, chains)))
+    return _row_sweep(n, starts, motifs)
 
 
 def construct_chain_max(n: int) -> MotifCollection:
@@ -95,16 +99,14 @@ def construct_chain_max(n: int) -> MotifCollection:
     with head n, tails taken in ascending consecutive pairs.
     """
     check_order(n)
-    motifs: list[Motif] = []
+    motifs = _PackedMotifs()
     mid = (n + 2) // 2  # smallest high centre
     for t in range(n - 1, mid - 1, -1):
-        for i in range(1, n - t + 1):
-            motifs.append(_new_motif(CHAIN, (i, t, i + t)))
+        _put(motifs, CHAIN, range(1, n - t + 1), repeat(t), range(1 + t, n + 1))
     for t in range(mid - 1, 1, -1):
-        for i in range(1, t):
-            motifs.append(_new_motif(CHAIN, (i, t, n - i)))
-    motifs += _column_n_colliders(n, range(1, mid))
-    return MotifCollection(n, tuple(motifs))
+        _put(motifs, CHAIN, range(1, t), repeat(t), range(n - 1, n - t, -1))
+    _column_n_colliders(n, range(1, mid), motifs)
+    return MotifCollection(n, motifs)
 
 
 def construct_collider_max(n: int) -> MotifCollection:
@@ -115,15 +117,14 @@ def construct_collider_max(n: int) -> MotifCollection:
     those pair into forks with tail 1, heads ascending.
     """
     check_order(n)
-    motifs: list[Motif] = []
-    unpaired_heads: list[int] = []
+    motifs = _PackedMotifs()
     for j in range(2, n + 1):
-        rows = range(j - 1, 0, -1)
-        motifs.extend(_new_motif(COLLIDER, (b, a, j)) for a, b in _pairs(rows))  # a > b
-        if len(rows) % 2 == 1:
-            unpaired_heads.append(j)  # the unpaired dot is (1, j)
-    motifs.extend(_new_motif(FORK, (1, b, c)) for b, c in _pairs(unpaired_heads))
-    return MotifCollection(n, tuple(motifs))
+        # Column j's pairs (j-1, j-2), (j-3, j-4), ... are the colliders
+        # (j-2, j-1, j), (j-4, j-3, j), ...
+        _put(motifs, COLLIDER, range(j - 2, 0, -2), range(j - 1, 1, -2), repeat(j))
+    heads = range(2, n + 1, 2)  # the even columns' unpaired dots (1, j)
+    _put(motifs, FORK, repeat(1), heads[0::2], heads[1::2])
+    return MotifCollection(n, motifs)
 
 
 def construct_fork_max(n: int) -> MotifCollection:
@@ -134,7 +135,7 @@ def construct_fork_max(n: int) -> MotifCollection:
     those pair into colliders with head n, tails ascending.
     """
     check_order(n)
-    return MotifCollection(n, tuple(_row_sweep(n, range(2, n + 1), [])))
+    return _row_sweep(n, range(2, n + 1), _PackedMotifs())
 
 
 STRATEGIES = {

@@ -9,16 +9,20 @@ and cheap to put in sets.
 
 A `MotifCollection` is an ordered family of motifs over one TT_n; its
 one cached walk judges every motif, and `verify` reports what the walk
-found.  This module imports no other ttmotifs module, so the verdict
-shares no code with the builders it checks.
+found.  The builders and the JSON decoder store their motifs packed, as
+one kind byte and three vertex ints each (`_PackedMotifs`).  This module
+imports no other ttmotifs module, so the verdict shares no code with the
+builders it checks.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from array import array
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
+from itertools import repeat
+from typing import Any, NamedTuple
 
 Arc = tuple[int, int]  # (tail, head), tail < head in a transitive tournament
 
@@ -70,20 +74,6 @@ class Motif(NamedTuple):
 
     kind: str
     vertices: tuple[int, int, int]
-
-
-# Kept beside `Motif(kind, vertices)`, which builds the same tuple, for
-# speed: the named tuple's own `__new__` takes 320 ns a call against 235 ns
-# here (CPython 3.11), and with `Motif(...)` in the builders and the
-# decoder hook the four n = 800 builds went from a median 620 to 776 ms and
-# the four n = 800 decodes from 1,424 to 1,641 ms (8 alternating process
-# pairs on a 2-core machine).
-def _new_motif(kind: str, vertices: tuple[int, int, int]) -> Motif:
-    """`Motif(kind, vertices)` without the named tuple's `__new__`
-    wrapper, i.e. `Motif._make` without its classmethod call and length
-    check.  Checks nothing: for the builders and the JSON decoder, which
-    make hundreds of thousands of motifs from parts they have checked."""
-    return tuple.__new__(Motif, (kind, vertices))
 
 
 def chain(a: int, b: int, c: int) -> Motif:
@@ -173,6 +163,106 @@ class MotifCounts(NamedTuple):
     forks: int
 
 
+# A kind byte's name.  `map` calls a list's `__getitem__` about twice as
+# fast as a tuple's, which is a slot wrapper: 21 against 42 ns an item
+# (CPython 3.11), once per motif in every walk and every encoding.
+_kind_name = list(MOTIF_KINDS).__getitem__
+
+
+class _PackedMotifs(Sequence):
+    """A tuple of motifs held flat: motif j is the kind
+    ``MOTIF_KINDS[kinds[j]]`` on the vertices ``vertices[3j:3j+3]``.
+
+    It keeps 26 bytes a motif where a tuple of `Motif`s kept 174
+    (tracemalloc, fork-max n = 400), and nothing the collector tracks.
+    It iterates, indexes, slices, compares, concatenates, hashes and
+    prints as that tuple does, building each `Motif` it hands out; the
+    walk and the encoder read `rows` instead, (kind, a, b, c) at C speed.
+    It starts empty: the builders and the JSON decoder extend both
+    arrays, and nothing changes them once a collection holds them.
+    """
+
+    __slots__ = ("kinds", "vertices")
+
+    def __init__(self) -> None:
+        self.kinds = bytearray()
+        self.vertices = array("q")  # 64-bit signed: a larger vertex needs a `Motif`
+
+    def rows(self) -> Iterator[tuple[str, int, int, int]]:
+        it = iter(self.vertices)
+        return zip(map(_kind_name, self.kinds), it, it, it)
+
+    def __len__(self) -> int:
+        return len(self.kinds)
+
+    def __iter__(self) -> Iterator[Motif]:
+        it = iter(self.vertices)
+        pairs = zip(map(_kind_name, self.kinds), zip(it, it, it))
+        return map(tuple.__new__, repeat(Motif), pairs)
+
+    def __getitem__(self, index: Any) -> Any:
+        if isinstance(index, slice):
+            return tuple(map(self.__getitem__, range(len(self))[index]))
+        j = range(len(self))[index]  # raises IndexError and TypeError as a tuple does
+        return Motif(MOTIF_KINDS[self.kinds[j]], tuple(self.vertices[3 * j : 3 * j + 3]))
+
+    # The rest is the tuple's own: a packed operand of a tuple operator
+    # answers through these reflected methods.
+    def __eq__(self, other: object) -> bool:
+        return tuple(self) == other
+
+    def __lt__(self, other: Any) -> bool:
+        return tuple(self) < other
+
+    def __le__(self, other: Any) -> bool:
+        return tuple(self) <= other
+
+    def __gt__(self, other: Any) -> bool:
+        return tuple(self) > other
+
+    def __ge__(self, other: Any) -> bool:
+        return tuple(self) >= other
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __add__(self, other: Any) -> tuple:
+        return tuple(self) + other
+
+    def __radd__(self, other: Any) -> tuple:
+        return other + tuple(self)
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
+def _motif_rows(motifs: Sequence[Motif]) -> Iterator[tuple[str, int, int, int]]:
+    """Each motif as a row (kind, a, b, c): at C speed from a packed
+    sequence, and unpacked from each (kind, (a, b, c)) entry of any
+    other, which must hold only such entries."""
+    if type(motifs) is _PackedMotifs:
+        return motifs.rows()
+    return ((kind, a, b, c) for kind, (a, b, c) in motifs)
+
+
+def _entry_rows(motifs: Iterable[Any]) -> Iterator[tuple[Any, Any, Any, Any]]:
+    """Each entry of a sequence that is not packed as the walk's row
+    (kind, a, b, c).  An entry that is not a (kind, vertices) pair is a
+    row of kind None, and vertices that are not a tuple of three are
+    None, None, None; the walk rejects both, and reads what its message
+    shows from the entry itself."""
+    for entry in motifs:
+        try:
+            kind, vertices = entry
+        except (TypeError, ValueError):
+            yield None, None, None, None
+            continue
+        if type(vertices) is tuple and len(vertices) == 3:
+            yield (kind, *vertices)
+        else:
+            yield kind, None, None, None
+
+
 class Violation(NamedTuple):
     """One structured verifier finding; its fields are one entry of the
     verify report."""
@@ -219,6 +309,23 @@ def _shown(value: object) -> str:
         return f"<{type(value).__name__}>"
 
 
+def _misshapen(index: int, entry: Any, by_vertices: bool) -> Violation:
+    """The walk's rejection of the entry at `index` for its kind, or
+    `by_vertices`, read back from the entry.  One that is not a (kind,
+    vertices) pair on this second read is rejected as such, so no entry
+    makes the walk raise."""
+    try:
+        kind, vertices = entry
+    except (TypeError, ValueError):
+        detail = f"motif {index} is not a (kind, vertices) pair: {_shown(entry)}"
+    else:
+        if by_vertices:
+            detail = f"motif {index} vertices {_shown(vertices)} are not a vertex triple"
+        else:
+            detail = f"motif {index} has unknown kind {_shown(kind)}"
+    return Violation(MISCLASSIFIED_MOTIF, detail, motifs=(index,))
+
+
 @dataclass(frozen=True)
 class MotifCollection:
     """An ordered family of motifs over one TT_n.
@@ -227,10 +334,12 @@ class MotifCollection:
     positive int: arc-disjointness, canonical form, and vertex ranges are
     judged by its cached walk and reported by `verify`, which must be
     able to inspect broken collections instead of never seeing them.
+    The motifs may be any sequence; the builders and the JSON decoder
+    hand over a `_PackedMotifs`.
     """
 
     n: int
-    motifs: tuple[Motif, ...]
+    motifs: Sequence[Motif]
 
     def __post_init__(self) -> None:
         check_order(self.n)
@@ -252,6 +361,8 @@ class MotifCollection:
         `_SparseArcs` dict, so a few motifs at a huge order allocate
         nothing of size n**2.  Both read ``table[key]``.
 
+        The loop reads each motif as a row (kind, a, b, c): at C speed
+        from a packed collection, through `_entry_rows` from any other.
         Each motif is judged where the loop meets it, by the first check
         it fails: a (kind, vertices) pair, known kind, three int vertices,
         ascending, inside 1..n.  A canonical motif (a known kind on a
@@ -262,25 +373,17 @@ class MotifCollection:
         shows each value as `_shown` does, so no value makes the walk
         raise."""
         n = self.n
+        motifs = self.motifs
         stride = n + 1
         slots = stride * stride
         table: list[int] | _SparseArcs
-        table = [-1] * slots if slots <= _DENSE_SLOTS_PER_MOTIF * len(self.motifs) else _SparseArcs()
+        table = [-1] * slots if slots <= _DENSE_SLOTS_PER_MOTIF * len(motifs) else _SparseArcs()
         shared: dict[Arc, list[int]] = {}
         set_aside: list[tuple[int, int]] = []  # (arc key, position) of rejected motifs
         violations: list[Violation] = []
         chains = colliders = forks = 0
-        for index, entry in enumerate(self.motifs):
-            try:
-                kind, vertices = entry
-            except (TypeError, ValueError):
-                detail = f"motif {index} is not a (kind, vertices) pair: {_shown(entry)}"
-                violations.append(Violation(MISCLASSIFIED_MOTIF, detail, motifs=(index,)))
-                continue
-            if type(vertices) is tuple and len(vertices) == 3:
-                a, b, c = vertices
-            else:
-                a = b = c = None
+        rows = motifs.rows() if type(motifs) is _PackedMotifs else _entry_rows(motifs)
+        for index, (kind, a, b, c) in enumerate(rows):
             # The two arcs are (a, head1) and (tail2, c).  This mirrors
             # `motif_arcs`, inline for speed: it runs once per motif.
             if kind == CHAIN:
@@ -293,12 +396,10 @@ class MotifCollection:
                 colliders += 1
                 head1, tail2 = c, b
             else:
-                detail = f"motif {index} has unknown kind {_shown(kind)}"
-                violations.append(Violation(MISCLASSIFIED_MOTIF, detail, motifs=(index,)))
+                violations.append(_misshapen(index, motifs[index], by_vertices=False))
                 continue
             if not (type(a) is int and type(b) is int and type(c) is int):
-                detail = f"motif {index} vertices {_shown(vertices)} are not a vertex triple"
-                violations.append(Violation(MISCLASSIFIED_MOTIF, detail, motifs=(index,)))
+                violations.append(_misshapen(index, motifs[index], by_vertices=True))
                 continue
             if 0 < a < b < c <= n:
                 key = a * stride + head1

@@ -29,7 +29,7 @@ from ttmotifs.cli import (
     motif_to_text,
 )
 from ttmotifs.constructions import STRATEGIES, MotifCollection
-from ttmotifs.core import MOTIF_KINDS, Motif, chain, collider, fork
+from ttmotifs.core import MOTIF_KINDS, Motif, _PackedMotifs, chain, collider, fork, verify
 from ttmotifs.oracle import max_packing
 
 
@@ -676,6 +676,190 @@ def test_decoder_raises_only_document_error_on_perturbed_documents(document, dat
     for candidate in (text, text[:cut], text[:cut] + data.draw(st.text(max_size=4)) + text[cut + 1 :]):
         _decode_or_document_error(candidate)
         assert _verify_exit_code(candidate) in (0, 1, 2, 3)
+
+
+# --- the packed decoder -----------------------------------------------------
+
+
+def test_decoder_peaks_at_a_few_bytes_per_motif():
+    # Measured at a peak of 35 bytes a motif besides the document text:
+    # the packed motifs and the decoded list of one marker per motif.
+    # One `Motif` per entry peaked at 243.
+    text = document_to_json(document_from_collection(STRATEGIES["fork-max"](400)))
+    tracemalloc.start()
+    try:
+        document = document_from_json(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * len(document.motifs)
+
+
+def _reference_document(text: str) -> CollectionDocument:
+    """A structurally valid document decoded the plain way: json.loads,
+    then one Motif per motif entry."""
+    payload = json.loads(text)
+    return CollectionDocument(
+        n=payload["n"],
+        kind=payload["kind"],
+        motifs=tuple(Motif(entry["type"], tuple(entry["vertices"])) for entry in payload["motifs"]),
+        unused_arcs=tuple(tuple(arc) for arc in payload["unused_arcs"]),
+    )
+
+
+def _verify_output(text: str, fmt: str) -> tuple[int, str, str]:
+    saved = sys.stdin
+    sys.stdin = io.StringIO(text)
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["verify", "--format", fmt])
+    finally:
+        sys.stdin = saved
+    return code, out.getvalue(), err.getvalue()
+
+
+_SHAPED = {"type": "fork", "vertices": [1, 4, 5]}
+_TT4 = [{"type": kind, "vertices": list(vertices)} for kind, vertices in STRATEGIES["mixed"](4).motifs]
+HOSTILE_DOCUMENTS = {
+    "shaped-under-an-extra-key": json.dumps(
+        {
+            "note": [_SHAPED, {"deep": _SHAPED}],
+            "schema_version": "1",
+            "n": 4,
+            "kind": "decomposition",
+            "motifs": _TT4,
+            "unused_arcs": [],
+        }
+    ),
+    "shaped-after-the-motifs": json.dumps(
+        {"schema_version": "1", "n": 4, "kind": "decomposition", "motifs": _TT4, "unused_arcs": [], "x": _SHAPED}
+    ),
+    "shaped-inside-a-motif-entry": _document_text(
+        4, "decomposition", [{**_TT4[0], "note": _SHAPED}, *_TT4[1:]], []
+    ),
+    "a-duplicate-motifs-key": _document_text(4, "decomposition", [_SHAPED], []).replace(
+        '"unused_arcs"', f'"motifs": {json.dumps(_TT4)}, "unused_arcs"'
+    ),
+    "a-vertex-of-10**30": _document_text(
+        5, "packing", [_TT4[0], {"type": "fork", "vertices": [1, 2, 10**30]}], []
+    ),
+    "a-vertex-of-minus-2**70": _document_text(
+        5, "packing", [{"type": "collider", "vertices": [-(2**70), 1, 2]}, _TT4[0]], []
+    ),
+    "convertible-and-unconvertible": _document_text(
+        9,
+        "packing",
+        [
+            {"type": "chain", "vertices": [1, 2, 3]},
+            {"type": "fork", "vertices": [2**63 - 1, 2**63, 2**64]},
+            {"type": "collider", "vertices": [4, 5, 6]},
+            {"type": "fork", "vertices": [1, -(2**63) - 1, 3]},
+            {"type": "chain", "vertices": [1, 2, 3]},
+        ],
+        [[1, 4]],
+    ),
+}
+# (exit code, sha256 of stdout) of `verify --format text` and `--format
+# json` on each document, recorded from the decoder that built one Motif
+# per entry.
+HOSTILE_REPORTS = {
+    'a-duplicate-motifs-key': (
+        (0, "9265d9ab26c79e8d83ad902d57ab7daee6761501bbbfc598cc4acf4eeed44d61"),
+        (0, "1e365dc22c16de2f89811f8695b9e42bcc486ec6deba3ebaf836f5e68dc2a9f4"),
+    ),
+    'a-vertex-of-10**30': (
+        (1, "dee4bf99d65cde5b22ea5d41cd3ef9e0cbf11fd7b5a4e6df19614606755bf1fe"),
+        (1, "cfb7a16b5038fa7f807d5779d7ea8a2b2ce751650cff5d58600359eddbb6ae1f"),
+    ),
+    'a-vertex-of-minus-2**70': (
+        (1, "7689d07d90936049b0e290c813d57cc298de0d819544054c17376258d5ce3de2"),
+        (1, "49f045194ac3aa4fc0f39bd56b2b374b74cfd1336205c116977127d4641515c1"),
+    ),
+    'convertible-and-unconvertible': (
+        (1, "59ff91527c66e6f3dadef5d42bd712f1af8e2b250ce20df581aab606f080f714"),
+        (1, "377a2683ccbfd62168f41677a82d45021adab96b04611fee5a7d7de43d158965"),
+    ),
+    'shaped-after-the-motifs': (
+        (0, "9265d9ab26c79e8d83ad902d57ab7daee6761501bbbfc598cc4acf4eeed44d61"),
+        (0, "1e365dc22c16de2f89811f8695b9e42bcc486ec6deba3ebaf836f5e68dc2a9f4"),
+    ),
+    'shaped-inside-a-motif-entry': (
+        (0, "9265d9ab26c79e8d83ad902d57ab7daee6761501bbbfc598cc4acf4eeed44d61"),
+        (0, "1e365dc22c16de2f89811f8695b9e42bcc486ec6deba3ebaf836f5e68dc2a9f4"),
+    ),
+    'shaped-under-an-extra-key': (
+        (0, "9265d9ab26c79e8d83ad902d57ab7daee6761501bbbfc598cc4acf4eeed44d61"),
+        (0, "1e365dc22c16de2f89811f8695b9e42bcc486ec6deba3ebaf836f5e68dc2a9f4"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE_DOCUMENTS))
+def test_hostile_documents_decode_as_one_motif_per_entry(name, monkeypatch):
+    text = HOSTILE_DOCUMENTS[name]
+    assert document_from_json(text) == _reference_document(text)
+    reports = []
+    for fmt in ("text", "json"):
+        code, out, err = _verify_output(text, fmt)
+        assert err == ""
+        with monkeypatch.context() as patched:
+            patched.setattr(cli, "document_from_json", _reference_document)
+            assert _verify_output(text, fmt) == (code, out, err)
+        reports.append((code, hashlib.sha256(out.encode()).hexdigest()))
+    assert tuple(reports) == HOSTILE_REPORTS[name]
+
+
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        ([_TT4[0], {"type": "chain", "vertices": [True, 2, 3]}], "motif 1 vertex must be an integer, got True"),
+        (
+            [_TT4[0], {"type": "chain", "vertices": [10**30, 2, 3]}, {"type": "fork", "vertices": [1, True, 3]}],
+            "motif 2 vertex must be an integer, got True",
+        ),
+    ],
+    ids=["true", "true-after-a-huge-vertex"],
+)
+def test_a_true_vertex_among_packed_and_huge_ones_is_malformed(entries, message):
+    text = _document_text(5, "packing", entries, [])
+    with pytest.raises(DocumentError) as caught:
+        document_from_json(text)
+    assert str(caught.value) == message
+    assert _verify_output(text, "text") == (2, "", f"error: malformed document: {message}\n")
+
+
+_PERTURBATIONS = ("out-of-range", "non-ascending", "duplicate", "retagged")
+
+
+@settings(max_examples=150, deadline=None)
+@given(strategy=st.sampled_from(sorted(STRATEGIES)), n=st.integers(1, 12), data=st.data())
+def test_decoded_perturbed_documents_get_the_verdict_of_their_motif_tuple(strategy, n, data):
+    payload = json.loads(document_to_json(document_from_collection(STRATEGIES[strategy](n))))
+    entries = payload["motifs"]
+    for how in data.draw(st.lists(st.sampled_from(_PERTURBATIONS), max_size=4)):
+        if not entries:
+            break
+        entry = entries[data.draw(st.integers(0, len(entries) - 1))]
+        if how == "out-of-range":
+            vertex = data.draw(st.sampled_from([0, -1, n + 1, 2**63 - 1, -(2**63)]))
+            entry["vertices"][data.draw(st.integers(0, 2))] = vertex
+        elif how == "non-ascending":
+            entry["vertices"] = data.draw(st.permutations(entry["vertices"]))
+        elif how == "duplicate":
+            twin = {"type": entry["type"], "vertices": list(entry["vertices"])}
+            entries.insert(data.draw(st.integers(0, len(entries))), twin)
+        else:
+            entry["type"] = data.draw(st.sampled_from(MOTIF_KINDS))
+    collection = document_from_json(json.dumps(payload)).to_collection()
+    assert type(collection.motifs) is _PackedMotifs
+    listed = MotifCollection(n, tuple(collection.motifs))
+    assert repr(verify(collection)) == repr(verify(listed))
+    assert collection.unused_arcs == listed.unused_arcs
+    assert collection.unused_arc_count == listed.unused_arc_count
+    unused = sorted(listed.unused_arcs)
+    for arcs in (unused, unused[::-1], unused + [(1, 2)], unused[1:], [tuple(a) for a in payload["unused_arcs"]]):
+        assert collection.lists_unused_arcs(arcs) == listed.lists_unused_arcs(arcs)
 
 
 # --- fuzzing the other subcommands ------------------------------------------

@@ -389,3 +389,77 @@ def test_the_walk_of_a_large_decomposition_holds_a_few_bytes_per_key():
     finally:
         tracemalloc.stop()
     assert peak < 20 * (n + 1) ** 2
+
+
+def test_a_builder_keeps_a_few_bytes_per_motif():
+    # Measured at 26 bytes a motif: one kind byte and three 8-byte
+    # vertices.  A tuple of `Motif`s kept 174.
+    n = 400
+    tracemalloc.start()
+    try:
+        collection = construct_fork_max(n)
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept < 40 * len(collection.motifs)
+
+
+@pytest.mark.parametrize("strategy", sorted(STRATEGIES))
+def test_built_motifs_behave_as_the_tuple_of_their_motifs(strategy):
+    for n in (1, 2, 3, 7, 12):
+        packed = STRATEGIES[strategy](n).motifs
+        motifs = tuple(packed)
+        assert all(type(motif) is Motif for motif in motifs)
+        assert len(packed) == len(motifs)
+        assert [packed[i] for i in range(-len(motifs), len(motifs))] == [
+            motifs[i] for i in range(-len(motifs), len(motifs))
+        ]
+        for index in (len(motifs), -len(motifs) - 1):
+            with pytest.raises(IndexError):
+                packed[index]
+        with pytest.raises(TypeError):
+            packed["0"]
+        for cut in (slice(None), slice(1, 4), slice(None, None, -2), slice(-3, 100)):
+            assert packed[cut] == motifs[cut] and type(packed[cut]) is tuple
+        assert packed == motifs and motifs == packed and not packed != motifs
+        assert packed == STRATEGIES[strategy](n).motifs
+        assert packed != list(motifs) and packed != motifs + (chain(1, 2, 3),)
+        longer = motifs + (chain(1, 2, 3),)
+        assert (packed < longer, packed <= motifs, packed > (), packed >= motifs) == (True, True, bool(motifs), True)
+        assert (longer > packed, motifs >= packed, () < packed) == (True, True, bool(motifs))
+        assert packed + motifs == motifs + packed == motifs + motifs
+        assert packed + packed == motifs + motifs
+        assert hash(packed) == hash(motifs) and repr(packed) == repr(motifs)
+        assert list(reversed(packed)) == list(reversed(motifs))
+        if motifs:
+            assert motifs[-1] in packed and packed.index(motifs[-1]) == motifs.index(motifs[-1])
+            assert packed.count(motifs[0]) == 1
+        collection, listed = MotifCollection(n, packed), MotifCollection(n, motifs)
+        assert collection == listed and hash(collection) == hash(listed) and repr(collection) == repr(listed)
+
+
+@pytest.mark.parametrize("strategy", sorted(STRATEGIES))
+def test_packed_and_tuple_motifs_get_the_same_verdict(strategy):
+    for n in range(1, 41):
+        packed = STRATEGIES[strategy](n)
+        listed = MotifCollection(n, tuple(packed.motifs))
+        assert repr(verify(packed)) == repr(verify(listed))
+        assert packed.unused_arcs == listed.unused_arcs
+        assert packed.unused_arc_count == listed.unused_arc_count
+        unused = sorted(listed.unused_arcs)
+        for arcs in (unused, unused[::-1], unused + [(1, 2)], unused[1:]):
+            assert packed.lists_unused_arcs(arcs) == listed.lists_unused_arcs(arcs)
+
+
+def test_an_entry_that_unpacks_only_once_is_rejected_not_raised():
+    # The walk reads a rejected entry's message back from the entry; a
+    # one-shot iterator gives nothing the second time, and is then
+    # reported as not a (kind, vertices) pair.
+    # The walk counts an entry by its kind tag, as it read it the first time.
+    for kind, vertices in ((CHAIN, (1, 2)), ("triangle", (1, 2, 3)), (CHAIN, (1, None, 3))):
+        collection = MotifCollection(5, (iter((kind, vertices)), fork(2, 3, 4)))
+        report = verify(collection)
+        assert [(v.kind, v.motifs) for v in report.violations] == [("misclassified_motif", (0,))]
+        assert report.violations[0].detail.startswith("motif 0 is not a (kind, vertices) pair: ")
+        assert report.counts == (int(kind == CHAIN), 0, 1)
+        assert collection.unused_arc_count == 8

@@ -1,14 +1,17 @@
 """Package-wide rules: the runtime imports only the standard library, the
 modules import one another in layers, no module keeps an import it does
 not use, and the README's library and command-line examples run as
-written."""
+written, and a failing property test under the repository's pytest
+settings reports its falsifying example."""
 
 from __future__ import annotations
 
 import ast
 import io
+import os
 import re
 import shlex
+import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -113,3 +116,24 @@ def test_readme_command_line_examples_run(monkeypatch):
                 assert cli.main(argv) == 0, command
             piped = out.getvalue()
         assert piped, example
+
+
+def test_a_failing_property_test_reports_its_falsifying_example(tmp_path):
+    # The settings make every warning an error.  One that the hypothesis
+    # plugin raises while it reports a failure must not turn the report
+    # into INTERNALERROR and lose the falsifying example.
+    (tmp_path / "test_fails.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_fails(x):\n"
+        "    assert x < 5\n",
+        encoding="utf-8",
+    )
+    env = {key: value for key, value in os.environ.items() if not key.startswith("PYTEST_")}
+    argv = ["-m", "pytest", "-c", str(ROOT / "pyproject.toml"), "--rootdir", str(tmp_path), "-p", "no:cacheprovider"]
+    result = subprocess.run(
+        [sys.executable, *argv, "test_fails.py"], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300
+    )
+    assert result.returncode == 1
+    assert "Falsifying example" in result.stdout
+    assert "INTERNALERROR" not in result.stdout + result.stderr
