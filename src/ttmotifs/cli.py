@@ -407,6 +407,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     except DocumentError as exc:
         sys.stderr.write(f"error: malformed document: {exc}\n")
         return EXIT_USAGE
+    del text  # the walk's peak then holds the packed motifs, not the text too
     collection = document.to_collection()
     report = _verify_document(document, collection)
     _write(args.format, *_report(report, collection))

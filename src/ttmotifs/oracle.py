@@ -2,11 +2,12 @@
 
 A deliberately independent cross-check on the closed-form counts and
 the constructions: depth-first branch and bound over the candidate
-motifs of TT_n, in fixed lexicographic order, pruning with an upper
-bound that follows from the kinds searched, recomputed on the residual
-arc supply: per-centre capacities for one kind, per-component counts
-for several.  The search is
-fully deterministic under a node budget, and it is anytime-sound: the
+motifs of TT_n, in fixed lexicographic order, each held as two arc
+indices in flat lists.  It prunes with an upper bound on the arcs still
+free that follows from the kinds searched: for one kind, per-centre
+capacities kept as a running total as arcs are taken and given back;
+for several, per-component counts recomputed at each node.  The search
+is fully deterministic under a node budget, and it is anytime-sound: the
 reported optimum always comes with a witness packing, so even a
 truncated run certifies a lower bound.  Orders above 99 are rejected:
 the candidates are built before the budget counts a node.
@@ -77,40 +78,39 @@ def _check_search_order(n: int) -> None:
 def _solve(n: int, kinds: tuple[str, ...], budget: SearchBudget) -> OracleResult:
     """Shared branch-and-bound core over the candidates of `kinds`.
 
-    The admissible upper bound is recomputed at every node from the arcs
-    still free: for one kind, each centre's capacity (a chain needs one
-    arc in and one out, a collider two in, a fork two out); for several,
-    floor(arcs/2) per component of the free graph.
+    A candidate is the indices of its two arcs, and taking it or giving
+    it back updates the free arcs in place.  The admissible upper bound
+    follows from the arcs still free: for one kind, the sum over vertices
+    of the motifs each could still centre (a chain needs one arc in and
+    one out, a collider two in, a fork two out), a running total that
+    changes only at the endpoints of the arcs that change; for several,
+    floor(arcs/2) per component of the free graph, recomputed at each node.
     """
     arcs = list(iter_arcs(n))
+    tails = [tail for tail, _ in arcs]
+    heads = [head for _, head in arcs]
     arc_index = {arc: k for k, arc in enumerate(arcs)}
-    # Every canonical motif of `kinds`, lexicographic by (triple, kind).
-    cand = [
-        (motif, arc_index[pair[0]], arc_index[pair[1]])
-        for triple in combinations(range(1, n + 1), 3) for kind in kinds
-        for motif in [Motif(kind, triple)]
-        for pair in [motif_arcs(motif)]
-    ]
-    used = [False] * len(arcs)
+    # Every canonical motif of `kinds`, lexicographic by (triple, kind), as
+    # its two arcs: each kind's arcs on the positions (0, 1, 2) of a triple,
+    # read off every triple.
+    shapes = [motif_arcs(Motif(kind, (0, 1, 2))) for kind in kinds]
+    first = [arc_index[t[p], t[q]] for t in combinations(range(1, n + 1), 3) for (p, q), _ in shapes]
+    second = [arc_index[t[p], t[q]] for t in combinations(range(1, n + 1), 3) for _, (p, q) in shapes]
+    end = len(first)
+    first.append(len(arcs))  # a sentinel on an arc never used ends every scan
+    second.append(len(arcs))
+    used = [False] * (len(arcs) + 1)
     free_in = [0] + [t - 1 for t in range(1, n + 1)]  # 1-indexed by vertex
     free_out = [0] + [n - t for t in range(1, n + 1)]
+    # Capacity by (free in, free out), looked up rather than called: the
+    # first kind's, which only a single-kind search reads.
+    capacity = {CHAIN: min, COLLIDER: lambda i, o: i // 2, FORK: lambda i, o: o // 2}[kinds[0]]
+    table = [[capacity(i, o) for o in range(n)] for i in range(n)]
+    room = list(map(capacity, free_in, free_out))
+    total = sum(room)
+    bound = None
 
-    def toggle(index: int) -> None:
-        """Take candidate `index`'s two arcs if they are free, else give them back."""
-        _, a, b = cand[index]
-        step = 1 if used[a] else -1
-        used[a] = used[b] = step < 0
-        for tail, head in (arcs[a], arcs[b]):
-            free_out[tail] += step
-            free_in[head] += step
-
-    if len(kinds) == 1:
-        capacity = {CHAIN: min, COLLIDER: lambda i, o: i // 2, FORK: lambda i, o: o // 2}[kinds[0]]
-
-        def bound() -> int:
-            return sum(map(capacity, free_in, free_out))
-
-    else:  # each component of the free graph packs at most floor(arcs/2) motifs
+    if len(kinds) > 1:  # each component of the free graph packs at most floor(arcs/2) motifs
 
         def bound() -> int:
             parent = list(range(n + 1))
@@ -137,43 +137,56 @@ def _solve(n: int, kinds: tuple[str, ...], budget: SearchBudget) -> OracleResult
 
     nodes = 0
     best = 0
-    best_selection: tuple[Motif, ...] = ()
-    selection: list[Motif] = []
+    best_selection: list[int] = []
+    selection: list[int] = []  # the candidates taken, in order
     exhausted = True
-    # Depth first: each entry visits a node that may take the first free
-    # candidate from `start` on, after giving back candidate `release`
-    # when that node is the "without it" branch of its parent.
-    stack: list[tuple[int, int | None]] = [(0, None)]
+    # Depth first: entry `start` visits a node that may take the first
+    # free candidate from `start` on.  Entry ~k first takes candidate k,
+    # or gives it back if it is taken, then visits a node that goes on
+    # from k + 1: a node that finds k pushes its "without k" branch under
+    # its "with k" branch, and both are ~k.
+    stack = [0]
     while stack:
-        start, release = stack.pop()
-        if release is not None:
-            toggle(release)
-            selection.pop()
-        size = len(selection)
+        start = stack.pop()
+        if start < 0:
+            start = ~start
+            a, b = first[start], second[start]
+            step = 1 if used[a] else -1
+            used[a] = used[b] = step < 0
+            ends = (tails[a], heads[a], tails[b], heads[b])
+            free_out[ends[0]] += step
+            free_in[ends[1]] += step
+            free_out[ends[2]] += step
+            free_in[ends[3]] += step
+            for v in ends:
+                c = table[free_in[v]][free_out[v]]
+                total += c - room[v]
+                room[v] = c
+            if step > 0:
+                selection.pop()
+            else:
+                selection.append(start)
+                if len(selection) > best:
+                    best = len(selection)
+                    best_selection = selection[:]
+            start += 1
         nodes += 1
         if nodes > max_nodes or (deadline is not None and time.monotonic() > deadline):
             exhausted = False
             break
-        if size + bound() <= best:
+        if len(selection) + (total if bound is None else bound()) <= best:
             continue
-        index = start
-        while index < len(cand) and (used[cand[index][1]] or used[cand[index][2]]):
-            index += 1
-        if index == len(cand):
-            continue
-        toggle(index)
-        selection.append(cand[index][0])
-        if size + 1 > best:
-            best = size + 1
-            best_selection = tuple(selection)
-        stack.append((index + 1, index))
-        stack.append((index + 1, None))
-    return OracleResult(
-        optimum=best,
-        witness=MotifCollection(n, best_selection),
-        exhausted=exhausted,
-        nodes=nodes,
+        while used[first[start]] or used[second[start]]:
+            start += 1
+        if start < end:
+            stack.append(~start)
+            stack.append(~start)
+    witness = tuple(
+        Motif(kinds[k % len(kinds)], tuple(sorted({tails[a], heads[a], tails[b], heads[b]})))
+        for k in best_selection
+        for a, b in [(first[k], second[k])]
     )
+    return OracleResult(optimum=best, witness=MotifCollection(n, witness), exhausted=exhausted, nodes=nodes)
 
 
 def max_packing(kind: str, n: int, budget: SearchBudget | None = None) -> OracleResult:

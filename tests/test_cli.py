@@ -388,6 +388,24 @@ def test_verify_of_a_few_motifs_at_a_huge_order_is_bounded(capsys, monkeypatch):
     assert len(table) == used
 
 
+def test_verify_drops_the_document_text_before_the_walk(tmp_path, capsys):
+    # Measured at 2.1 times the document's length.  A verify that kept
+    # the text through the walk held it next to the packed motifs and
+    # the arc table, and peaked at 2.7.
+    text = document_to_json(document_from_collection(STRATEGIES["fork-max"](400)))
+    path = tmp_path / "doc.json"
+    path.write_text(text, encoding="utf-8")
+    tracemalloc.start()
+    try:
+        code = main(["verify", "--input", str(path)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    assert peak < 2.3 * len(text)
+
+
 def test_verify_coverage_gap_on_wrong_declared_kind(capsys, monkeypatch):
     # A single chain over TT_3 covers only 2 of 3 arcs yet claims otherwise.
     text = _document_text(3, "decomposition", [{"type": "chain", "vertices": [1, 2, 3]}], [])

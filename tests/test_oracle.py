@@ -5,6 +5,8 @@ from __future__ import annotations
 import ast
 import hashlib
 import sys
+import time
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -150,9 +152,17 @@ def test_oracle_rejects_bad_arguments():
 
 
 def test_search_accepts_order_99_under_a_one_node_budget():
-    result = max_packing(CHAIN, 99, SearchBudget(max_nodes=1))
+    tracemalloc.start()
+    try:
+        result = max_packing(CHAIN, 99, SearchBudget(max_nodes=1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     assert not result.exhausted
     assert result.nodes == 2  # the node that broke the budget is counted
+    # Measured at 3.2 MB with the candidates as two lists of arc indices;
+    # a tuple and a Motif per candidate took 31.8 MB.
+    assert peak < 16_000_000
 
 
 def test_search_rejects_orders_above_99_before_building_anything(monkeypatch):
@@ -174,10 +184,20 @@ def test_search_rejects_orders_above_99_before_building_anything(monkeypatch):
 def test_chain_search_at_order_9_runs_out_of_a_200k_node_budget():
     # This is the oracle-sweep benchmark's budget, and this search is why
     # its certified share is 0.9.  The optimum is 16 (packing_number).  The
-    # arc-branching search of ROADMAP item 2 changes this test on purpose:
+    # arc-branching search of ROADMAP item 3 changes this test on purpose:
     # it should then certify 16, exhausted.
     result = max_packing(CHAIN, 9, SearchBudget(max_nodes=200_000))
     assert (result.optimum, result.exhausted, result.nodes) == (14, False, 200_001)
+    assert verify(result.witness).valid
+
+
+def test_time_budget_stops_a_search_the_node_budget_would_not():
+    started = time.monotonic()
+    result = max_packing(CHAIN, 12, SearchBudget(max_nodes=None, max_time=0.05))
+    assert time.monotonic() - started < 5.0
+    assert result.exhausted is False
+    assert result.optimum >= 1
+    assert len(result.witness.motifs) == result.optimum
     assert verify(result.witness).valid
 
 
@@ -237,6 +257,35 @@ def _mixed_search_digest() -> str:
 
 def test_mixed_search_is_node_for_node_unchanged():
     assert _mixed_search_digest() == MIXED_SEARCH_DIGEST
+
+
+# sha256 over chain, collider, fork and mixed at n = 1..12, each under
+# budgets of 1, 2, 3, 7, 50, 500 and 5,000 nodes, recorded from the search
+# whose candidates were (Motif, arc, arc) tuples and whose single-kind
+# bound was summed afresh at every node.  Where a budget cuts a search,
+# its optimum, node count and witness pin the visit order itself.
+TRUNCATED_SEARCH_DIGEST = "89fb6bc666f644b11fc7b2316581dc5767d10c878cd62c87ba558882dc7ce719"
+
+
+def _truncated_search_digest() -> str:
+    digest = hashlib.sha256()
+    for search in [*MOTIF_KINDS, "mixed"]:
+        for n in range(1, 13):
+            for max_nodes in (1, 2, 3, 7, 50, 500, 5000):
+                budget = SearchBudget(max_nodes=max_nodes)
+                if search == "mixed":
+                    result = max_p3_packing_undirected(n, budget)
+                else:
+                    result = max_packing(search, n, budget)
+                fields = (search, f"n={n}", max_nodes, result.optimum, result.exhausted, result.nodes)
+                digest.update("".join(f"{field}\0" for field in fields).encode())
+                for motif in result.witness.motifs:
+                    digest.update(f"{motif.kind}{motif.vertices}\0".encode())
+    return digest.hexdigest()
+
+
+def test_truncated_searches_are_node_for_node_unchanged():
+    assert _truncated_search_digest() == TRUNCATED_SEARCH_DIGEST
 
 
 def test_search_leaves_the_recursion_limit_alone(monkeypatch):
