@@ -94,7 +94,8 @@ def _json_block(key: str, pieces: list[str], last: bool = False) -> list[str]:
 
 def _motif_object(motif: Motif) -> dict[str, Any]:
     """A motif as the JSON object {"type", "vertices"}."""
-    return {"type": motif.kind, "vertices": list(motif.vertices)}
+    kind, vertices = motif
+    return {"type": kind, "vertices": list(vertices)}
 
 
 def document_to_json(document: CollectionDocument) -> str:
@@ -147,40 +148,25 @@ def document_from_json(text: str) -> CollectionDocument:
     for verification."""
     packed = _PackedMotifs()
     stored = object()  # what the hook returns for each motif it packs
-    add_kind, add_vertices = packed.kinds.append, packed.vertices.extend
+    add = packed.put
 
     def pack(entry: dict[str, Any]) -> Any:
         """Object hook for json.loads: an object that passes every check
-        `_document_from_payload` makes of a motif entry goes into `packed`
-        as soon as it is decoded, so its dict and vertex list never pile
-        up.  json.loads builds only plain dicts, lists, strs and ints, so
-        exact type tests suffice."""
-        motif_type = entry.get("type")
-        vertices = entry.get("vertices")
-        if motif_type in MOTIF_KINDS and type(vertices) is list and len(vertices) == 3:
-            a, b, c = vertices
-            if type(a) is int and type(b) is int and type(c) is int:
-                try:
-                    add_vertices(vertices)
-                except OverflowError:  # a vertex past 64 signed bits keeps its entry a dict
-                    del packed.vertices[3 * len(packed.kinds) :]
-                    return entry
-                add_kind(MOTIF_KINDS.index(motif_type))
-                return stored
-        return entry
+        `_document_from_payload` makes of a motif entry, and whose vertices
+        fit the packed store, goes into `packed` as soon as it is decoded,
+        so its dict and vertex list never pile up.  Any other object stays
+        a dict."""
+        return stored if add(entry.get("type"), entry.get("vertices")) else entry
 
     payload = _decode(text, pack)
     raw_motifs = payload.get("motifs") if type(payload) is dict else None
     # Keep the packed motifs only when the motif list is exactly the
-    # markers, all of them.  Otherwise (an entry the hook left a dict, a
-    # motif-shaped object elsewhere), or on any error, decode again
-    # without the hook, so that every message shows the values as the
-    # document wrote them.
+    # markers, all of them; then no message can show a marker, so an
+    # error is final.  Otherwise (an entry the hook left a dict, a
+    # motif-shaped object elsewhere) decode again without the hook, so
+    # that every message shows the values as the document wrote them.
     if type(raw_motifs) is list and len(raw_motifs) == len(packed) == raw_motifs.count(stored):
-        try:
-            return _document_from_payload(payload, packed)
-        except DocumentError:
-            pass
+        return _document_from_payload(payload, packed)
     return _document_from_payload(_decode(text))
 
 
@@ -238,14 +224,14 @@ def _document_from_payload(payload: Any, packed: _PackedMotifs | None = None) ->
 # --- arrow notation ---------------------------------------------------------
 
 def motif_to_text(motif: Motif) -> str:
-    a, b, c = motif.vertices
-    if motif.kind == CHAIN:
+    kind, (a, b, c) = motif
+    if kind == CHAIN:
         return f"v{a} -> v{b} -> v{c}"
-    if motif.kind == COLLIDER:
+    if kind == COLLIDER:
         return f"v{a} -> v{c} <- v{b}"
-    if motif.kind == FORK:
+    if kind == FORK:
         return f"v{b} <- v{a} -> v{c}"
-    raise ValueError(f"unknown motif kind {motif.kind!r}")
+    raise ValueError(f"unknown motif kind {kind!r}")
 
 
 # --- shared rendering -------------------------------------------------------

@@ -22,35 +22,26 @@ and is then a pure function of n; emission order is the construction's
 own sweep order, so repeated calls produce identical motif lists.  The
 builders emit each motif with its triple already ascending, and write
 whole runs of motifs, zipped from ranges of vertices, into a
-`ttmotifs.core._PackedMotifs` at once (`_put`), never one `Motif` at a
-time; `decompose` runs `ttmotifs.core.verify` on every result all the
-same.  Only the command line and the package root import this module, so the
-verifier, the closed forms, the diagram and the oracle share no code with
-what they check.
+`ttmotifs.core._PackedMotifs` at once (its `put_runs`), never one
+`Motif` at a time and never touching how the store lays them out;
+`decompose` runs `ttmotifs.core.verify` on every result all the same.
+Only the command line and the package root import this module, so the
+verifier, the closed forms, the diagram and the oracle share no code
+with what they check.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from itertools import chain, repeat
+from itertools import repeat
 
-from .core import CHAIN, COLLIDER, FORK, MOTIF_KINDS, MotifCollection, _PackedMotifs, check_order
-
-
-def _put(motifs: _PackedMotifs, kind: str, *columns: Iterable[int]) -> None:
-    """Append the motifs of one kind on the vertex triples that zip takes
-    from `columns`, as many as the shortest column holds; `repeat(v)`
-    gives the same vertex v to every triple."""
-    vertices = motifs.vertices
-    start = len(vertices)
-    vertices.extend(chain.from_iterable(zip(*columns)))
-    motifs.kinds.extend(bytes([MOTIF_KINDS.index(kind)]) * ((len(vertices) - start) // 3))
+from .core import CHAIN, COLLIDER, FORK, MotifCollection, _PackedMotifs, check_order
 
 
 def _column_n_colliders(n: int, tails: Sequence[int], motifs: _PackedMotifs) -> None:
     """The column-n dots (t, n), t in `tails`, paired in order into
     colliders with head n; an odd last tail stays unpaired."""
-    _put(motifs, COLLIDER, tails[0::2], tails[1::2], repeat(n))
+    motifs.put_runs(COLLIDER, tails[0::2], tails[1::2], repeat(n))
 
 
 def _row_sweep(n: int, starts: Iterable[int], motifs: _PackedMotifs) -> MotifCollection:
@@ -65,7 +56,7 @@ def _row_sweep(n: int, starts: Iterable[int], motifs: _PackedMotifs) -> MotifCol
     odd_rows: list[int] = []
     for i, start in enumerate(starts, 1):
         # The forks (i, b, b+1), b = start, start+2, ...
-        _put(motifs, FORK, repeat(i), range(start, n, 2), range(start + 1, n + 1, 2))
+        motifs.put_runs(FORK, repeat(i), range(start, n, 2), range(start + 1, n + 1, 2))
         if (n + 1 - start) % 2 == 1:
             odd_rows.append(i)  # the unpaired dot is (i, n)
     _column_n_colliders(n, odd_rows, motifs)
@@ -84,7 +75,7 @@ def construct_mixed(n: int) -> MotifCollection:
     check_order(n)
     half = (n - 1) // 2  # chain m takes the diagonal dots of rows 2m-1 and 2m
     motifs = _PackedMotifs()
-    _put(motifs, CHAIN, range(1, 2 * half, 2), range(2, 2 * half + 1, 2), range(3, 2 * half + 2, 2))
+    motifs.put_runs(CHAIN, range(1, 2 * half, 2), range(2, 2 * half + 1, 2), range(3, 2 * half + 2, 2))
     starts = [i + 2 if i <= 2 * half else i + 1 for i in range(1, n)]
     return _row_sweep(n, starts, motifs)
 
@@ -102,9 +93,9 @@ def construct_chain_max(n: int) -> MotifCollection:
     motifs = _PackedMotifs()
     mid = (n + 2) // 2  # smallest high centre
     for t in range(n - 1, mid - 1, -1):
-        _put(motifs, CHAIN, range(1, n - t + 1), repeat(t), range(1 + t, n + 1))
+        motifs.put_runs(CHAIN, range(1, n - t + 1), repeat(t), range(1 + t, n + 1))
     for t in range(mid - 1, 1, -1):
-        _put(motifs, CHAIN, range(1, t), repeat(t), range(n - 1, n - t, -1))
+        motifs.put_runs(CHAIN, range(1, t), repeat(t), range(n - 1, n - t, -1))
     _column_n_colliders(n, range(1, mid), motifs)
     return MotifCollection(n, motifs)
 
@@ -121,9 +112,9 @@ def construct_collider_max(n: int) -> MotifCollection:
     for j in range(2, n + 1):
         # Column j's pairs (j-1, j-2), (j-3, j-4), ... are the colliders
         # (j-2, j-1, j), (j-4, j-3, j), ...
-        _put(motifs, COLLIDER, range(j - 2, 0, -2), range(j - 1, 1, -2), repeat(j))
+        motifs.put_runs(COLLIDER, range(j - 2, 0, -2), range(j - 1, 1, -2), repeat(j))
     heads = range(2, n + 1, 2)  # the even columns' unpaired dots (1, j)
-    _put(motifs, FORK, repeat(1), heads[0::2], heads[1::2])
+    motifs.put_runs(FORK, repeat(1), heads[0::2], heads[1::2])
     return MotifCollection(n, motifs)
 
 

@@ -10,9 +10,10 @@ and cheap to put in sets.
 A `MotifCollection` is an ordered family of motifs over one TT_n; its
 one cached walk judges every motif, and `verify` reports what the walk
 found.  The builders and the JSON decoder store their motifs packed, as
-one kind byte and three vertex ints each (`_PackedMotifs`).  This module
-imports no other ttmotifs module, so the verdict shares no code with the
-builders it checks.
+one kind byte and three vertex ints each (`_PackedMotifs`), through its
+two writers.  Both layouts, the packed store and the walk's arc table,
+are read and written only here.  This module imports no other ttmotifs
+module, so the verdict shares no code with the builders it checks.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from array import array
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
+from itertools import chain as _iter_chain, repeat
 from typing import Any, NamedTuple
 
 Arc = tuple[int, int]  # (tail, head), tail < head in a transitive tournament
@@ -178,8 +179,8 @@ class _PackedMotifs(Sequence):
     It iterates, indexes, slices, compares, concatenates, hashes and
     prints as that tuple does, building each `Motif` it hands out; the
     walk and the encoder read `rows` instead, (kind, a, b, c) at C speed.
-    It starts empty: the builders and the JSON decoder extend both
-    arrays, and nothing changes them once a collection holds them.
+    It starts empty: the builders append through `put_runs` and the JSON
+    decoder through `put`, and nothing changes it once a collection holds it.
     """
 
     __slots__ = ("kinds", "vertices")
@@ -187,6 +188,35 @@ class _PackedMotifs(Sequence):
     def __init__(self) -> None:
         self.kinds = bytearray()
         self.vertices = array("q")  # 64-bit signed: a larger vertex needs a `Motif`
+
+    def put_runs(self, kind: str, *columns: Iterable[int]) -> None:
+        """Append the motifs of one known kind on the vertex triples that zip
+        takes from `columns`, as many as the shortest column holds;
+        `repeat(v)` gives the same vertex v to every triple."""
+        vertices = self.vertices
+        start = len(vertices)
+        vertices.extend(_iter_chain.from_iterable(zip(*columns)))
+        self.kinds.extend(bytes([MOTIF_KINDS.index(kind)]) * ((len(vertices) - start) // 3))
+
+    def put(self, kind: Any, vertices: Any) -> bool:
+        """Append the motif `kind` on `vertices` if it is a known kind on
+        three ints that fit in 64 signed bits, and say whether it did;
+        anything else appends nothing.  The kind is found by ``==``, so an
+        unhashable one is merely unknown."""
+        try:
+            code = MOTIF_KINDS.index(kind)
+            a, b, c = vertices
+        except (TypeError, ValueError):
+            return False
+        if not (type(a) is int and type(b) is int and type(c) is int):
+            return False
+        try:
+            self.vertices.extend((a, b, c))
+        except OverflowError:
+            del self.vertices[3 * len(self.kinds) :]
+            return False
+        self.kinds.append(code)
+        return True
 
     def rows(self) -> Iterator[tuple[str, int, int, int]]:
         it = iter(self.vertices)
@@ -447,12 +477,7 @@ class MotifCollection:
         stride = n + 1
         table = self._arc_walk[0]
         if type(table) is not list:
-            return frozenset(
-                (tail, head)
-                for tail in range(1, n)
-                for head in range(tail + 1, n + 1)
-                if tail * stride + head not in table
-            )
+            return frozenset(arc for arc in iter_arcs(n) if arc[0] * stride + arc[1] not in table)
         # Row `tail` holds the keys of the arcs (tail, tail+1..n), and
         # `list.index` finds each free one at C speed: 4.3 ms at n = 802
         # (the mixed strategy, one unused arc; best of 7, CPython 3.11 on a
@@ -470,6 +495,16 @@ class MotifCollection:
                     break
                 unused.append((tail, key - row))
         return frozenset(unused)
+
+    def _row_users(self, tail: int) -> list[int]:
+        """The position of the motif on each arc (tail, tail+1..n) of the
+        walk's arc table, or -1 where the arc is free."""
+        row = tail * (self.n + 1)
+        start, stop = row + tail + 1, row + self.n + 1
+        table = self._arc_walk[0]
+        if type(table) is list:
+            return table[start:stop]
+        return [table[key] for key in range(start, stop)]
 
     def lists_unused_arcs(self, arcs: Sequence[Arc]) -> bool:
         """True iff `arcs` holds each unused arc of TT_n once, in any

@@ -588,3 +588,57 @@ def test_the_sparse_arc_table_matches_the_referee_and_the_definitions(n, pool, d
     used = len(table)
     _assert_unused_arcs_match_their_definition(collection)
     assert len(table) == used  # no lookup of a free key stored it
+
+
+def _assert_row_users_match_the_motifs(collection: MotifCollection) -> None:
+    """Each arc's user, row by row, is the first canonical entry whose
+    `motif_arcs` hold it, else the first other entry of a known kind on
+    three ints that names it, else -1: the claims the walk's docstring
+    describes, read from the entries alone."""
+    n = collection.n
+    canonical, other = [], []
+    for index, (kind, vertices) in enumerate(collection.motifs):
+        if kind in MOTIF_KINDS and type(vertices) is tuple and len(vertices) == 3:
+            if all(type(v) is int for v in vertices):
+                a, b, c = vertices
+                (canonical if 0 < a < b < c <= n else other).append((index, Motif(kind, vertices)))
+    users: dict[tuple[int, int], int] = {}
+    for index, motif in canonical + other:
+        for tail, head in motif_arcs(motif):
+            if 1 <= tail < head <= n:
+                users.setdefault((tail, head), index)
+    for tail in range(1, n):
+        expected = [users.get((tail, head), -1) for head in range(tail + 1, n + 1)]
+        assert collection._row_users(tail) == expected, tail
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 12), pool=st.lists(_ENTRIES, min_size=1, max_size=8), data=st.data())
+def test_row_users_read_a_dense_arc_table(n, pool, data):
+    least = -(-((n + 1) ** 2) // _DENSE_SLOTS_PER_MOTIF)
+    picks = data.draw(st.lists(st.sampled_from(pool), min_size=least, max_size=least + 32))
+    collection = MotifCollection(n, tuple(picks))
+    assert type(collection._arc_walk[0]) is list
+    _assert_row_users_match_the_motifs(collection)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    n=st.integers(60, 200),
+    pool=st.lists(_entries(st.integers(-1, 14) | st.integers(55, 202)), min_size=1, max_size=8),
+    data=st.data(),
+)
+def test_row_users_read_a_sparse_arc_table_without_growing_it(n, pool, data):
+    picks = data.draw(st.lists(st.sampled_from(pool), max_size=16))
+    collection = MotifCollection(n, tuple(picks))
+    table = collection._arc_walk[0]
+    assert type(table) is not list
+    used = len(table)
+    _assert_row_users_match_the_motifs(collection)
+    assert len(table) == used
+
+
+@pytest.mark.parametrize("strategy", sorted(STRATEGIES))
+def test_row_users_of_every_builder_name_the_one_motif_on_each_arc(strategy):
+    for n in range(1, 41):
+        _assert_row_users_match_the_motifs(STRATEGIES[strategy](n))

@@ -259,6 +259,41 @@ def test_text_that_is_not_json_is_decoded_once(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("motif_type", [[1], {"a": 1}], ids=["list", "object"])
+def test_an_unhashable_motif_type_is_malformed(capsys, monkeypatch, motif_type):
+    text = _document_text(5, "packing", [{"type": motif_type, "vertices": [1, 2, 3]}], [])
+    code, out, err = run_cli(capsys, ["verify"], stdin_text=text, monkeypatch=monkeypatch)
+    assert (code, out) == (2, "")
+    assert err == f"error: malformed document: motif 0 has unknown type {motif_type!r}\n"
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("unused_arcs", [[1]], "unused arc 0 must be a [tail, head] pair"),
+        ("schema_version", "2", "unsupported schema_version '2'; expected '1'"),
+    ],
+    ids=["unused-arc", "schema-version"],
+)
+def test_a_fully_packed_document_is_decoded_once(monkeypatch, field, value, message):
+    # Every marker of the packed motifs lies in the motif list, so no
+    # message can show one, and a second decode would only repeat work.
+    payload = json.loads(document_to_json(document_from_collection(STRATEGIES["mixed"](8))))
+    payload[field] = value
+    calls = []
+    loads = json.loads
+
+    def counting_loads(*args, **kwargs):
+        calls.append(args[0])
+        return loads(*args, **kwargs)
+
+    monkeypatch.setattr(cli.json, "loads", counting_loads)
+    with pytest.raises(DocumentError) as caught:
+        document_from_json(json.dumps(payload))
+    assert str(caught.value) == message
+    assert len(calls) == 1
+
+
 def test_verify_deeply_nested_document_exits_2(capsys, monkeypatch):
     # Too deep for the JSON decoder: a malformed document, not a crash.
     text = "[" * 200_000 + "]" * 200_000

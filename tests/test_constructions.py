@@ -23,6 +23,7 @@ from ttmotifs.core import (
     FORK,
     MOTIF_KINDS,
     Motif,
+    _PackedMotifs,
     chain,
     collider,
     fork,
@@ -449,6 +450,57 @@ def test_packed_and_tuple_motifs_get_the_same_verdict(strategy):
         unused = sorted(listed.unused_arcs)
         for arcs in (unused, unused[::-1], unused + [(1, 2)], unused[1:]):
             assert packed.lists_unused_arcs(arcs) == listed.lists_unused_arcs(arcs)
+
+
+def _store(motifs) -> _PackedMotifs:
+    store = _PackedMotifs()
+    for kind, vertices in motifs:
+        assert store.put(kind, vertices)
+    return store
+
+
+_UNSTORABLE = {
+    "unknown-kind": ("triangle", (1, 2, 3)),
+    "list-kind": ([CHAIN], (1, 2, 3)),
+    "dict-kind": ({FORK: 1}, (1, 2, 3)),
+    "pair": (CHAIN, (1, 2)),
+    "quadruple": (CHAIN, [1, 2, 3, 4]),
+    "int-vertices": (CHAIN, 123),
+    "no-vertices": (CHAIN, None),
+    "bool-vertex": (CHAIN, [1, True, 3]),
+    "float-vertex": (FORK, (1, 2, 3.0)),
+    "str-vertex": (COLLIDER, ["1", 2, 3]),
+    "str-of-three": (CHAIN, "123"),
+    "third-vertex-2**63": (CHAIN, [1, 2, 2**63]),
+    "first-vertex-below-int64": (COLLIDER, (-(2**63) - 1, 2, 3)),
+    "first-vertex-2**63": (FORK, [2**63, 1, 2]),
+}
+
+
+@pytest.mark.parametrize("before", [(), (chain(1, 2, 3), fork(1, 4, 5))], ids=["empty", "after-two"])
+@pytest.mark.parametrize("name", sorted(_UNSTORABLE))
+def test_put_stores_nothing_it_cannot_hold(name, before):
+    store = _store(before)
+    kinds, vertices = bytes(store.kinds), store.vertices.tobytes()
+    assert store.put(*_UNSTORABLE[name]) is False
+    assert (bytes(store.kinds), store.vertices.tobytes()) == (kinds, vertices)
+    assert store == before
+
+
+def test_put_stores_any_three_ints_of_64_bits_as_written():
+    # The store judges nothing beyond what it can hold: order and range
+    # are the walk's to reject.
+    motifs = (Motif(CHAIN, (3, 2, 1)), Motif(FORK, (2**63 - 1, -(2**63), 0)), Motif(COLLIDER, (1, 2, 3)))
+    store = _store(motifs)
+    assert store == motifs and len(store) == 3
+
+
+@pytest.mark.parametrize("strategy", sorted(STRATEGIES))
+def test_put_rebuilds_every_builders_store(strategy):
+    for n in range(1, 41):
+        built = STRATEGIES[strategy](n).motifs
+        rebuilt = _store(tuple(built))
+        assert (rebuilt.kinds, rebuilt.vertices) == (built.kinds, built.vertices), n
 
 
 def test_an_entry_that_unpacks_only_once_is_rejected_not_raised():

@@ -1,8 +1,9 @@
 """Package-wide rules: the runtime imports only the standard library, the
-modules import one another in layers, no module keeps an import it does
-not use, and the README's library and command-line examples run as
-written, and a failing property test under the repository's pytest
-settings reports its falsifying example."""
+modules import one another in layers, only `core` knows how motifs and
+arcs are stored, no module keeps an import it does not use, the README's
+library and command-line examples run as written, and a failing property
+test under the repository's pytest settings reports its falsifying
+example."""
 
 from __future__ import annotations
 
@@ -64,6 +65,29 @@ def test_modules_import_in_layers():
         assert imports[name] == {"core"}, name
     importers = {name for name, found in imports.items() if "constructions" in found}
     assert importers == {"cli", "__init__"}
+
+
+def test_only_core_touches_how_motifs_and_arcs_are_stored():
+    """The packed motif store's `kinds` and `vertices` arrays, its kind
+    bytes (`MOTIF_KINDS.index`) and the walk's arc table (`_arc_walk`)
+    are read and written in `core` only; the other modules go through
+    `_PackedMotifs.put_runs`, `put` and `rows` and through
+    `MotifCollection._row_users`.  A `Motif`'s own field is also named
+    `vertices`, so outside `core` a motif is unpacked, never read by
+    attribute, and this needs no types to tell the two apart."""
+    layout = {"kinds", "vertices", "_arc_walk"}
+    found = []
+    for path in SOURCES:
+        if path.stem == "core":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in layout:
+                found.append((path.name, node.lineno, node.attr))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "index":
+                owner = node.func.value
+                if getattr(owner, "id", getattr(owner, "attr", None)) == "MOTIF_KINDS":
+                    found.append((path.name, node.lineno, "MOTIF_KINDS.index"))
+    assert found == []
 
 
 def test_every_imported_name_is_used_or_exported():
