@@ -12,8 +12,12 @@ one cached walk judges every motif, and `verify` reports what the walk
 found.  The builders and the JSON decoder store their motifs packed, as
 one kind byte and three vertex ints each (`_PackedMotifs`), through its
 two writers.  Both layouts, the packed store and the walk's arc table,
-are read and written only here.  This module imports no other ttmotifs
-module, so the verdict shares no code with the builders it checks.
+are read and written only here.  The walk builds the arc table and
+counts the arcs it claims, and `MotifCollection._row_users` is the one
+reader of a row of it; the table's two layouts, dense and sparse, are
+told apart in those two places only.  This module imports no other
+ttmotifs module, so the verdict shares no code with the builders it
+checks.
 """
 
 from __future__ import annotations
@@ -77,8 +81,17 @@ class Motif(NamedTuple):
     vertices: tuple[int, int, int]
 
 
+def _check_vertices(*vertices: int) -> None:
+    """Reject a vertex that is not an int (a bool is not a vertex), as
+    the walk does."""
+    for vertex in vertices:
+        if type(vertex) is not int:
+            raise ValueError(f"motif vertices must be integers, got {vertex!r}")
+
+
 def chain(a: int, b: int, c: int) -> Motif:
     """The chain a -> b -> c; requires a < b < c."""
+    _check_vertices(a, b, c)
     if not a < b < c:
         raise ValueError(f"chain vertices must be strictly increasing, got ({a}, {b}, {c})")
     return Motif(CHAIN, (a, b, c))
@@ -86,6 +99,7 @@ def chain(a: int, b: int, c: int) -> Motif:
 
 def collider(tail_a: int, tail_b: int, head: int) -> Motif:
     """The collider tail_a -> head <- tail_b; tails may come in any order."""
+    _check_vertices(tail_a, tail_b, head)
     a, b = sorted((tail_a, tail_b))
     if not a < b < head:
         raise ValueError(
@@ -96,6 +110,7 @@ def collider(tail_a: int, tail_b: int, head: int) -> Motif:
 
 def fork(tail: int, head_a: int, head_b: int) -> Motif:
     """The fork head_a <- tail -> head_b; heads may come in any order."""
+    _check_vertices(tail, head_a, head_b)
     b, c = sorted((head_a, head_b))
     if not tail < b < c:
         raise ValueError(
@@ -176,9 +191,10 @@ class _PackedMotifs(Sequence):
 
     It keeps 26 bytes a motif where a tuple of `Motif`s kept 174
     (tracemalloc, fork-max n = 400), and nothing the collector tracks.
-    It iterates, indexes, slices, compares, concatenates, hashes and
-    prints as that tuple does, building each `Motif` it hands out; the
-    walk and the encoder read `rows` instead, (kind, a, b, c) at C speed.
+    It iterates, indexes, slices, concatenates, hashes and prints as that
+    tuple does, building each `Motif` it hands out, and compares with it
+    for equality only; the walk and the encoder read `rows` instead,
+    (kind, a, b, c) at C speed.
     It starts empty: the builders append through `put_runs` and the JSON
     decoder through `put`, and nothing changes it once a collection holds it.
     """
@@ -189,14 +205,21 @@ class _PackedMotifs(Sequence):
         self.kinds = bytearray()
         self.vertices = array("q")  # 64-bit signed: a larger vertex needs a `Motif`
 
-    def put_runs(self, kind: str, *columns: Iterable[int]) -> None:
+    def put_runs(self, kind: str, a: Iterable[int], b: Iterable[int], c: Iterable[int]) -> None:
         """Append the motifs of one known kind on the vertex triples that zip
-        takes from `columns`, as many as the shortest column holds;
-        `repeat(v)` gives the same vertex v to every triple."""
+        takes from the columns `a`, `b` and `c`, as many as the shortest
+        column holds; `repeat(v)` gives the same vertex v to every triple.
+        An unknown kind, or a vertex that is not an int of 64 bits, raises
+        and appends nothing."""
+        code = bytes([MOTIF_KINDS.index(kind)])
         vertices = self.vertices
         start = len(vertices)
-        vertices.extend(_iter_chain.from_iterable(zip(*columns)))
-        self.kinds.extend(bytes([MOTIF_KINDS.index(kind)]) * ((len(vertices) - start) // 3))
+        try:
+            vertices.extend(_iter_chain.from_iterable(zip(a, b, c)))
+        except (TypeError, OverflowError):
+            del vertices[start:]
+            raise
+        self.kinds.extend(code * ((len(vertices) - start) // 3))
 
     def put(self, kind: Any, vertices: Any) -> bool:
         """Append the motif `kind` on `vertices` if it is a known kind on
@@ -236,31 +259,17 @@ class _PackedMotifs(Sequence):
         j = range(len(self))[index]  # raises IndexError and TypeError as a tuple does
         return Motif(MOTIF_KINDS[self.kinds[j]], tuple(self.vertices[3 * j : 3 * j + 3]))
 
-    # The rest is the tuple's own: a packed operand of a tuple operator
-    # answers through these reflected methods.
+    # The rest is the tuple's own.  A tuple on the left of ``==`` answers
+    # through the reflected `__eq__`, so a collection's generated eq, hash
+    # and repr treat a packed sequence as the tuple of its motifs.
     def __eq__(self, other: object) -> bool:
         return tuple(self) == other
-
-    def __lt__(self, other: Any) -> bool:
-        return tuple(self) < other
-
-    def __le__(self, other: Any) -> bool:
-        return tuple(self) <= other
-
-    def __gt__(self, other: Any) -> bool:
-        return tuple(self) > other
-
-    def __ge__(self, other: Any) -> bool:
-        return tuple(self) >= other
 
     def __hash__(self) -> int:
         return hash(tuple(self))
 
     def __add__(self, other: Any) -> tuple:
-        return tuple(self) + other
-
-    def __radd__(self, other: Any) -> tuple:
-        return other + tuple(self)
+        return tuple(self) + (tuple(other) if type(other) is _PackedMotifs else other)
 
     def __repr__(self) -> str:
         return repr(tuple(self))
@@ -375,7 +384,7 @@ class MotifCollection:
         check_order(self.n)
 
     @cached_property
-    def _arc_walk(self) -> tuple[list[int] | _SparseArcs, tuple[Violation, ...], MotifCounts]:
+    def _arc_walk(self) -> tuple[list[int] | _SparseArcs, tuple[Violation, ...], MotifCounts, int]:
         """The one loop over the motifs, and the only place that judges one.
 
         Each arc (tail, head) of TT_n is keyed as the int tail*(n+1)+head,
@@ -383,13 +392,17 @@ class MotifCollection:
         key to the position of the arc's first user, or -1 for a free arc;
         the violations: one per motif that is not canonical, in position
         order, then one per arc that canonical motifs share, in arc order,
-        naming every user; and the tally of the kind tags, compared with
-        ``==`` so that any tag can be counted.
+        naming every user; the tally of the kind tags, compared with ``==``
+        so that any tag can be counted; and the number of keys it claimed.
 
         The table is a list of all (n+1)**2 keys when that is at most
         `_DENSE_SLOTS_PER_MOTIF` slots per motif, and otherwise a
         `_SparseArcs` dict, so a few motifs at a huge order allocate
-        nothing of size n**2.  Both read ``table[key]``.
+        nothing of size n**2.  Both read ``table[key]``; only this and
+        `_row_users` tell them apart.  The claims are counted, not
+        recounted from the table: two for each canonical motif, less one
+        for each later user of a shared arc, plus the set-aside arcs
+        claimed after the loop.
 
         The loop reads each motif as a row (kind, a, b, c): at C speed
         from a packed collection, through `_entry_rows` from any other.
@@ -453,47 +466,42 @@ class MotifCollection:
             for tail, head in ((a, head1), (tail2, c)):
                 if 1 <= tail < head <= n:
                     set_aside.append((tail * stride + head, index))
+        # Each motif is canonical or rejected by one violation; a canonical
+        # one claims its two arcs unless a user came before it.
+        claimed = 2 * (len(motifs) - len(violations)) - sum(map(len, shared.values())) + len(shared)
         for key, index in set_aside:
             if table[key] < 0:
                 table[key] = index
+                claimed += 1
         for arc in sorted(shared):
             detail = f"duplicate arc ({_shown(arc[0])},{_shown(arc[1])})"
             violations.append(Violation(DUPLICATE_ARC, detail, motifs=tuple(shared[arc]), arc=arc))
-        return table, tuple(violations), MotifCounts(chains, colliders, forks)
+        return table, tuple(violations), MotifCounts(chains, colliders, forks), claimed
 
-    @cached_property
+    @property
     def unused_arc_count(self) -> int:
         """How many arcs of TT_n are in no motif, without listing them."""
-        table = self._arc_walk[0]
-        used = len(table) - table.count(-1) if type(table) is list else len(table)
-        return self.n * (self.n - 1) // 2 - used
+        return self.n * (self.n - 1) // 2 - self._arc_walk[3]
 
     @cached_property
     def unused_arcs(self) -> frozenset[Arc]:
         """Arcs of TT_n in no motif."""
         if not self.unused_arc_count:
             return frozenset()
-        n = self.n
-        stride = n + 1
-        table = self._arc_walk[0]
-        if type(table) is not list:
-            return frozenset(arc for arc in iter_arcs(n) if arc[0] * stride + arc[1] not in table)
-        # Row `tail` holds the keys of the arcs (tail, tail+1..n), and
-        # `list.index` finds each free one at C speed: 4.3 ms at n = 802
-        # (the mixed strategy, one unused arc; best of 7, CPython 3.11 on a
-        # 2-core machine), where a Python loop testing each key of a dict
-        # table took 27.7 ms.  `decompose` derives the unused arcs of every
-        # packing.
+        # `list.index` finds each free arc of a row at C speed: 4.6-5.8 ms
+        # for the one unused arc of each builder's packing at n = 779-802
+        # (median of 9, CPython 3.11 on a 2-core machine).  `decompose`
+        # derives the unused arcs of every packing.
         unused = []
-        for tail in range(1, n):
-            row = tail * stride
-            key, end = row + tail, row + stride
+        for tail in range(1, self.n):
+            users = self._row_users(tail)
+            at = -1
             while True:
                 try:
-                    key = table.index(-1, key + 1, end)
+                    at = users.index(-1, at + 1)
                 except ValueError:
                     break
-                unused.append((tail, key - row))
+                unused.append((tail, tail + 1 + at))
         return frozenset(unused)
 
     def _row_users(self, tail: int) -> list[int]:
@@ -566,7 +574,7 @@ def verify(collection: MotifCollection) -> VerificationReport:
     the builders, so a construction's result is checked by code that did
     not make it.
     """
-    _, violations, counts = collection._arc_walk
+    _, violations, counts, _ = collection._arc_walk
     valid = not violations
     return VerificationReport(
         n=collection.n,

@@ -20,8 +20,10 @@ MAX_RENDER_ORDER = 99  # two-character labels and tags stop lining up beyond thi
 
 
 def check_render_order(n: int) -> None:
-    """Reject orders too large for `Diagram.render_ascii`; cheap enough
-    to call before building anything that would be rendered."""
+    """Reject anything `check_order` rejects and orders too large for
+    `Diagram.render_ascii`; cheap enough to call before building anything
+    that would be rendered."""
+    check_order(n)
     if n > MAX_RENDER_ORDER:
         raise ValueError(
             f"grid rendering supports n <= {MAX_RENDER_ORDER}; "

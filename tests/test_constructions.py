@@ -425,10 +425,7 @@ def test_built_motifs_behave_as_the_tuple_of_their_motifs(strategy):
         assert packed == motifs and motifs == packed and not packed != motifs
         assert packed == STRATEGIES[strategy](n).motifs
         assert packed != list(motifs) and packed != motifs + (chain(1, 2, 3),)
-        longer = motifs + (chain(1, 2, 3),)
-        assert (packed < longer, packed <= motifs, packed > (), packed >= motifs) == (True, True, bool(motifs), True)
-        assert (longer > packed, motifs >= packed, () < packed) == (True, True, bool(motifs))
-        assert packed + motifs == motifs + packed == motifs + motifs
+        assert packed + motifs == motifs + motifs
         assert packed + packed == motifs + motifs
         assert hash(packed) == hash(motifs) and repr(packed) == repr(motifs)
         assert list(reversed(packed)) == list(reversed(motifs))
@@ -485,6 +482,33 @@ def test_put_stores_nothing_it_cannot_hold(name, before):
     assert store.put(*_UNSTORABLE[name]) is False
     assert (bytes(store.kinds), store.vertices.tobytes()) == (kinds, vertices)
     assert store == before
+
+
+@pytest.mark.parametrize(
+    "run, error",
+    [
+        (("triangle", [1], [2], [3]), ValueError),
+        ((CHAIN, [1], [2]), TypeError),
+        ((CHAIN, [1], [2], [3], [4]), TypeError),
+    ],
+    ids=["unknown-kind", "two-columns", "four-columns"],
+)
+def test_put_runs_of_an_unknown_kind_or_not_three_columns_stores_nothing(run, error):
+    store = _PackedMotifs()
+    with pytest.raises(error):
+        store.put_runs(*run)
+    assert (len(store.kinds), len(store.vertices)) == (0, 0)
+
+
+@pytest.mark.parametrize(
+    "vertex, error", [(2.0, TypeError), (2**63, OverflowError)], ids=["float", "past-int64"]
+)
+def test_put_runs_leaves_the_store_as_it_was_when_a_vertex_does_not_fit(vertex, error):
+    store = _store((chain(1, 2, 3), fork(1, 4, 5)))
+    kinds, vertices = bytes(store.kinds), store.vertices.tobytes()
+    with pytest.raises(error):
+        store.put_runs(CHAIN, [1, 1], [4, vertex], [7, 8])
+    assert (bytes(store.kinds), store.vertices.tobytes()) == (kinds, vertices)
 
 
 def test_put_stores_any_three_ints_of_64_bits_as_written():

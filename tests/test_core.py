@@ -122,6 +122,24 @@ def test_constructors_reject_degenerate_triples():
         fork(4, 2, 5)  # tail not below both heads
 
 
+@pytest.mark.parametrize("position", [0, 1, 2])
+@pytest.mark.parametrize("vertex", [1.0, True, "1", None], ids=["float", "bool", "str", "none"])
+def test_constructors_reject_a_vertex_that_is_not_an_int(vertex, position):
+    # The walk rejects such a triple as "not a vertex triple", so a
+    # constructor that accepted it would hand out a motif `verify` rejects.
+    for make in (chain, collider, fork):
+        vertices = [1, 2, 3]
+        vertices[position] = vertex
+        with pytest.raises(ValueError, match="must be integers"):
+            make(*vertices)
+
+
+def test_classify_arcs_rejects_an_arc_on_a_vertex_that_is_not_an_int():
+    for a, b in (((1.0, 2), (2, 3)), ((True, 3), (2, 3)), ((1, 2), (1, 3.0))):
+        with pytest.raises(ValueError, match="must be integers"):
+            classify_arcs(a, b)
+
+
 def test_motif_arcs_and_center():
     assert motif_arcs(chain(1, 4, 6)) == ((1, 4), (4, 6))
     assert motif_center(chain(1, 4, 6)) == 4

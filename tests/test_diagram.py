@@ -7,7 +7,7 @@ import pytest
 
 from ttmotifs.constructions import construct_collider_max
 from ttmotifs.core import COLLIDER, FORK, MISCLASSIFIED_MOTIF, Motif, MotifCollection, chain, iter_arcs, verify
-from ttmotifs.diagram import Diagram
+from ttmotifs.diagram import Diagram, check_render_order
 
 
 def test_render_small_grid():
@@ -105,3 +105,9 @@ def test_render_caps_order_at_99():
     assert "·" in Diagram(99).render_ascii().split("\n")[1]
     with pytest.raises(ValueError, match="JSON"):
         Diagram(100).render_ascii()
+
+
+@pytest.mark.parametrize("n", ["x", 0, -1, True, 5.0], ids=["str", "zero", "negative", "bool", "float"])
+def test_check_render_order_rejects_every_order_check_order_rejects(n):
+    with pytest.raises(ValueError, match="order must be"):
+        check_render_order(n)

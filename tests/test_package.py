@@ -1,9 +1,10 @@
 """Package-wide rules: the runtime imports only the standard library, the
 modules import one another in layers, only `core` knows how motifs and
-arcs are stored, no module keeps an import it does not use, the README's
-library and command-line examples run as written, and a failing property
-test under the repository's pytest settings reports its falsifying
-example."""
+arcs are stored (and in `core`, only the walk and `_row_users` know the
+arc table's two layouts), no module keeps an import it does not use,
+the README's library and command-line examples run as written, and a
+failing property test under the repository's pytest settings reports its
+falsifying example."""
 
 from __future__ import annotations
 
@@ -88,6 +89,31 @@ def test_only_core_touches_how_motifs_and_arcs_are_stored():
                 if getattr(owner, "id", getattr(owner, "attr", None)) == "MOTIF_KINDS":
                     found.append((path.name, node.lineno, "MOTIF_KINDS.index"))
     assert found == []
+
+
+def test_only_the_walk_and_row_users_know_the_arc_tables_two_layouts():
+    """Inside `core`, only `MotifCollection._arc_walk`, which builds the
+    arc table, and `_row_users`, which reads one row of it, name the
+    sparse layout (`_SparseArcs`) or ask a table its type
+    (`type(table)`).  Every other reader goes through those two, or
+    through ``table[key]``, which reads the same on both layouts."""
+    (core,) = [path for path in SOURCES if path.stem == "core"]
+    owners = set()
+
+    def visit(node: ast.AST, owner: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Name) and child.id == "_SparseArcs":
+                owners.add(owner)
+            if isinstance(child, ast.Call) and getattr(child.func, "id", None) == "type":
+                if [getattr(arg, "id", None) for arg in child.args] == ["table"]:
+                    owners.add(owner)
+            visit(child, owner)
+
+    visit(ast.parse(core.read_text(encoding="utf-8")), "<module>")
+    assert owners == {"_arc_walk", "_row_users"}
 
 
 def test_every_imported_name_is_used_or_exported():
