@@ -82,6 +82,56 @@ def test_decompose_packing_warns_and_exits_3(capsys):
     assert "unused" in err
 
 
+@pytest.mark.parametrize("strategy", sorted(STRATEGIES))
+def test_decompose_json_warns_of_the_documents_unused_arcs(strategy):
+    """The JSON view reads its warning from the document it prints, the
+    other views from the collection; both name the same arcs."""
+    for n in (n for n in range(2, 41) if n % 4 in (2, 3)):
+        runs = {}
+        for fmt in ("json", "text"):
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                assert main(["decompose", "--n", str(n), "--strategy", strategy, "--format", fmt]) == 3
+            runs[fmt] = out.getvalue(), err.getvalue()
+        (document_text, warning), (_, text_warning) = runs["json"], runs["text"]
+        assert warning == text_warning
+        unused = document_from_json(document_text).unused_arcs
+        assert unused
+        assert warning == (
+            f"warning: n = {n} admits no decomposition; packing leaves {len(unused)} arc(s) unused: "
+            + ", ".join(f"({i},{j})" for i, j in unused)
+            + "\n"
+        )
+
+
+class _CharCounter(io.TextIOBase):
+    """A text stream that counts what it is given and keeps none of it."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.chars = 0
+
+    def write(self, text: str) -> int:
+        self.chars += len(text)
+        return len(text)
+
+
+def test_decompose_drops_the_walk_before_it_encodes():
+    # Measured at 2.6 times the output's length: the packed motifs and
+    # the encoder's two copies.  A decompose that kept the collection
+    # held the walk's arc table through the encoder, and peaked at 3.8.
+    sink = _CharCounter()
+    tracemalloc.start()
+    try:
+        with redirect_stdout(sink), redirect_stderr(io.StringIO()):
+            code = main(["decompose", "--n", "400", "--strategy", "fork-max", "--format", "json"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 3.0 * sink.chars
+
+
 def test_decompose_diagram_format(capsys):
     code, out, err = run_cli(capsys, ["decompose", "--n", "8", "--strategy", "collider-max", "--format", "diagram"])
     assert code == 0
@@ -700,6 +750,25 @@ def test_encoder_holds_about_two_copies_of_its_output():
     finally:
         tracemalloc.stop()
     assert peak < 2.5 * len(text)
+
+
+# Strings that need escapes, or that look like the structure around them.
+awkward_text = st.text(st.sampled_from('"\\/[]{},: \n\t\x00\x1f\x7f\u00e9\u20ac\U0001f600') | st.characters(), max_size=6)
+payloads = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | awkward_text,
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(awkward_text, inner, max_size=4)
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300)
+@given(payloads)
+def test_indented_json_is_json_dumps_with_indent_2(payload):
+    assert cli._indented_json(payload) == json.dumps(payload, indent=2)
 
 
 @settings(max_examples=300)
