@@ -279,41 +279,9 @@ def _tally(counts: dict[str, int]) -> str:
     return ", ".join(f"{name} {count}" for name, count in counts.items())
 
 
-def _indented_json(payload: Any) -> str:
-    """`json.dumps(payload, indent=2)`, byte for byte, from CPython's C
-    encoder, which runs only without `indent`: the indented form is
-    encoded in pure Python, 1.6 times slower on a `counts --n 99`
-    payload (CPython 3.11).  The compact form with the indented form's
-    separators needs only a newline and an indent after each opening
-    bracket and before each closing one, and an indent after each
-    separator's newline.  The encoder escapes every control character in
-    a string, so the separators' newlines are the only ones in its
-    output, and other control characters can serve as marks."""
-    text = json.dumps(payload, separators=(",\n", ": "))
-    # Each backslash starts an escape, so once the escaped backslashes
-    # and quotes are set aside every quote opens or closes a string, and
-    # the even parts of the split are the text outside strings.
-    parts = text.replace("\\\\", "\x00").replace('\\"', "\x01").split('"')
-    outside = (
-        "\x03".join(parts[0::2])
-        .replace("[", "[\x02").replace("{", "{\x02").replace("]", "\x02]").replace("}", "\x02}")
-        .replace("[\x02\x02]", "[]").replace("{\x02\x02}", "{}")
-    )
-    # A piece after a mark starts with a closing bracket, one level out,
-    # or with a container's first item, one level in.
-    pieces = outside.split("\x02")
-    depth = 0
-    for i in range(1, len(pieces)):
-        depth += -1 if pieces[i][0] in "]}" else 1
-        indent = "\n" + "  " * depth
-        pieces[i] = indent + pieces[i].replace("\n", indent)
-    parts[0::2] = "".join(pieces).split("\x03")
-    return '"'.join(parts).replace("\x00", "\\\\").replace("\x01", '\\"')
-
-
 def _write(fmt: str, payload: dict[str, Any], lines: list[str]) -> None:
     """Print one result: its payload as JSON, or its text lines."""
-    sys.stdout.write((_indented_json(payload) if fmt == "json" else "\n".join(lines)) + "\n")
+    sys.stdout.write((json.dumps(payload, indent=2) if fmt == "json" else "\n".join(lines)) + "\n")
 
 
 def _report(report: VerificationReport, collection: MotifCollection) -> tuple[dict[str, Any], list[str]]:
@@ -361,25 +329,22 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         lines = ["internal error: construction failed verification", *_report(report, collection)[1]]
         sys.stderr.write("\n".join(lines) + "\n")
         return EXIT_INVALID
+    if args.format == "diagram":  # the one view drawn from the collection
+        print(Diagram(args.n).render_ascii(highlight=collection))
+    document = document_from_collection(collection)
+    # The document holds all the command still needs.  Dropping the
+    # collection frees the walk's arc table before the encoder builds
+    # its two copies of the output, which set the process's peak.
+    del collection
     if args.format == "json":
-        document = document_from_collection(collection)
-        # The document holds all the command still needs.  Dropping the
-        # collection frees the walk's arc table before the encoder builds
-        # its two copies of the output, which set the process's peak.
-        del collection
         sys.stdout.write(document_to_json(document))
-        unused = document.unused_arcs
-    else:
-        if args.format == "text":
-            sys.stdout.writelines(f"{motif_to_text(motif)}\n" for motif in collection.motifs)
-        else:  # diagram
-            print(Diagram(args.n).render_ascii(highlight=collection))
-        unused = () if report.is_decomposition else sorted(collection.unused_arcs)
-    if not report.is_decomposition:
+    elif args.format == "text":
+        sys.stdout.writelines(f"{motif_to_text(motif)}\n" for motif in document.motifs)
+    if document.unused_arcs:
         sys.stderr.write(
             f"warning: n = {args.n} admits no decomposition; "
-            f"packing leaves {len(unused)} arc(s) unused: "
-            + ", ".join(f"({i},{j})" for i, j in unused)
+            f"packing leaves {len(document.unused_arcs)} arc(s) unused: "
+            + ", ".join(f"({i},{j})" for i, j in document.unused_arcs)
             + "\n"
         )
     return _classification_exit(report)

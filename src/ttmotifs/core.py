@@ -57,8 +57,7 @@ def check_kind(kind: str) -> None:
 
 
 def iter_arcs(n: int) -> Iterator[Arc]:
-    """All arcs of TT_n in lexicographic (tail, head) order.  Lazy, so a
-    caller that keeps only some of them never builds the full list."""
+    """All arcs of TT_n in lexicographic (tail, head) order."""
     return ((i, j) for i in range(1, n) for j in range(i + 1, n + 1))
 
 
@@ -486,14 +485,17 @@ class MotifCollection:
     @cached_property
     def unused_arcs(self) -> frozenset[Arc]:
         """Arcs of TT_n in no motif."""
-        if not self.unused_arc_count:
-            return frozenset()
-        # `list.index` finds each free arc of a row at C speed: 4.6-5.8 ms
-        # for the one unused arc of each builder's packing at n = 779-802
-        # (median of 9, CPython 3.11 on a 2-core machine).  `decompose`
-        # derives the unused arcs of every packing.
+        # `list.index` finds each free arc of a row at C speed, and the
+        # rows stop once the walk's count of them is found: 0.08 ms for
+        # collider-max's one unused arc, in row 1, at n = 778, and 5 ms
+        # for one in the last row at n = 799-802 (best of 9, CPython 3.11
+        # on a 2-core machine).  `decompose` derives the unused arcs of
+        # every packing.
+        count = self.unused_arc_count
         unused = []
         for tail in range(1, self.n):
+            if len(unused) == count:
+                break
             users = self._row_users(tail)
             at = -1
             while True:

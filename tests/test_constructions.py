@@ -273,6 +273,22 @@ def test_unused_arcs_ignore_arcs_outside_the_tournament():
     assert odd.unused_arc_count == 10 - 3
 
 
+def test_unused_arcs_stop_reading_rows_once_the_walk_count_is_found(monkeypatch):
+    # Collider-max at n = 778 leaves one arc free, in row 1, so the other
+    # 776 rows of the arc table need not be read.
+    collection = construct_collider_max(778)
+    rows = []
+    read = MotifCollection._row_users
+
+    def counted(self, tail):
+        rows.append(tail)
+        return read(self, tail)
+
+    monkeypatch.setattr(MotifCollection, "_row_users", counted)
+    assert collection.unused_arcs == {(1, 778)}
+    assert rows == [1]
+
+
 def test_unused_arc_count_does_not_enumerate_the_tournament():
     # TT_100000 has about 5e9 arcs; the count is arithmetic on the motifs.
     collection = MotifCollection(100_000, (chain(1, 2, 3),))
