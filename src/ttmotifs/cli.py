@@ -1,4 +1,5 @@
-"""Command-line interface and the JSON document format.
+"""Command-line interface: argv, payloads and views.  The JSON document
+codec lives in `core`, beside the packed motif store it writes and reads.
 
 Subcommands: decompose (run a construction), counts (closed-form table),
 verify (check a document), oracle (exact search).  Exit codes are shared
@@ -17,15 +18,14 @@ import functools
 import json
 import os
 import sys
-from collections.abc import Callable, Sequence
-from dataclasses import dataclass, replace
-from itertools import islice
+from dataclasses import replace
 from typing import IO, Any
 
 from .analysis import center_capacity, is_admissible, mixed_counts, packing_number, packing_number_table
 from .constructions import STRATEGIES
-from .core import CHAIN, COLLIDER, COVERAGE_GAP, FORK, MOTIF_KINDS, Arc, Motif, MotifCollection
-from .core import TransitiveTournament, VerificationReport, Violation, _PackedMotifs, _motif_rows, verify
+from .core import CHAIN, COLLIDER, COVERAGE_GAP, FORK, KIND_DECOMPOSITION, KIND_PACKING, MOTIF_KINDS
+from .core import CollectionDocument, DocumentError, Motif, MotifCollection, TransitiveTournament
+from .core import VerificationReport, Violation, document_from_json, document_to_json, verify
 from .diagram import Diagram, check_render_order
 from .oracle import DEFAULT_MAX_NODES, SearchBudget, max_packing
 
@@ -33,28 +33,6 @@ EXIT_DECOMPOSITION = 0
 EXIT_INVALID = 1
 EXIT_USAGE = 2
 EXIT_PACKING = 3
-
-SCHEMA_VERSION = "1"
-
-KIND_DECOMPOSITION = "decomposition"
-KIND_PACKING = "packing"
-
-
-class DocumentError(ValueError):
-    """The input does not parse as a collection document."""
-
-
-@dataclass(frozen=True)
-class CollectionDocument:
-    """Parsed form of the JSON interchange document."""
-
-    n: int
-    kind: str  # declared: "decomposition" | "packing"
-    motifs: Sequence[Motif]
-    unused_arcs: tuple[Arc, ...]  # declared
-
-    def to_collection(self) -> MotifCollection:
-        return MotifCollection(self.n, self.motifs)
 
 
 def _derived_kind(collection: MotifCollection) -> str:
@@ -73,152 +51,10 @@ def document_from_collection(collection: MotifCollection) -> CollectionDocument:
     )
 
 
-# Motifs per piece of an encoded document: big enough that the pieces
-# are few, small enough that one piece's strings are a small share of it.
-_MOTIFS_PER_PIECE = 4096
-
-
-def _json_block(key: str, pieces: list[str], last: bool = False) -> list[str]:
-    """An indented JSON array field with one item per line, as strings to
-    join.  Each piece is one item, or several joined as the block joins
-    them."""
-    comma = "" if last else ","
-    if not pieces:
-        return [f'  "{key}": []{comma}\n']
-    parts = [f'  "{key}": [\n    ']
-    for piece in pieces:
-        parts += (piece, ",\n    ")
-    parts[-1] = f"\n  ]{comma}\n"
-    return parts
-
-
 def _motif_object(motif: Motif) -> dict[str, Any]:
     """A motif as the JSON object {"type", "vertices"}."""
     kind, vertices = motif
     return {"type": kind, "vertices": list(vertices)}
-
-
-def document_to_json(document: CollectionDocument) -> str:
-    """The document as indented JSON, one motif or unused arc per line.
-    The motif lines are joined `_MOTIFS_PER_PIECE` at a time and the
-    document once, so the encoder holds about two copies of its output,
-    not a string per motif besides."""
-    # One f-string per motif writes what json.dumps(_motif_object(motif))
-    # would, for the three kind names and int vertices.
-    rows = _motif_rows(document.motifs)
-    pieces = [
-        ",\n    ".join([
-            f'{{"type": "{kind}", "vertices": [{a}, {b}, {c}]}}'
-            for kind, a, b, c in islice(rows, _MOTIFS_PER_PIECE)
-        ])
-        for _ in range(0, len(document.motifs), _MOTIFS_PER_PIECE)
-    ]
-    unused = [f"[{tail}, {head}]" for tail, head in document.unused_arcs]
-    return "".join([
-        "{\n",
-        f'  "schema_version": {json.dumps(SCHEMA_VERSION)},\n',
-        f'  "n": {document.n},\n',
-        f'  "kind": {json.dumps(document.kind)},\n',
-        *_json_block("motifs", pieces),
-        *_json_block("unused_arcs", unused, last=True),
-        "}\n",
-    ])
-
-
-def _expect_int(value: Any, what: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise DocumentError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
-def _decode(text: str, object_hook: Callable[[dict[str, Any]], Any] | None = None) -> Any:
-    try:
-        return json.loads(text, object_hook=object_hook)
-    except json.JSONDecodeError as exc:
-        raise DocumentError(f"not valid JSON: {exc}") from exc
-    except RecursionError as exc:
-        raise DocumentError("nested too deeply to decode") from exc
-    except ValueError as exc:  # e.g. an integer literal over the interpreter's digit limit
-        raise DocumentError(f"cannot decode: {exc}") from exc
-
-
-def document_from_json(text: str) -> CollectionDocument:
-    """Parse and structurally validate a document; content problems
-    (bad canonical form, duplicate arcs, wrong declared kind) are left
-    for verification."""
-    packed = _PackedMotifs()
-    stored = object()  # what the hook returns for each motif it packs
-    add = packed.put
-
-    def pack(entry: dict[str, Any]) -> Any:
-        """Object hook for json.loads: an object that passes every check
-        `_document_from_payload` makes of a motif entry, and whose vertices
-        fit the packed store, goes into `packed` as soon as it is decoded,
-        so its dict and vertex list never pile up.  Any other object stays
-        a dict."""
-        return stored if add(entry.get("type"), entry.get("vertices")) else entry
-
-    payload = _decode(text, pack)
-    raw_motifs = payload.get("motifs") if type(payload) is dict else None
-    # Keep the packed motifs only when the motif list is exactly the
-    # markers, all of them; then no message can show a marker, so an
-    # error is final.  Otherwise (an entry the hook left a dict, a
-    # motif-shaped object elsewhere) decode again without the hook, so
-    # that every message shows the values as the document wrote them.
-    if type(raw_motifs) is list and len(raw_motifs) == len(packed) == raw_motifs.count(stored):
-        return _document_from_payload(payload, packed)
-    return _document_from_payload(_decode(text))
-
-
-def _document_from_payload(payload: Any, packed: _PackedMotifs | None = None) -> CollectionDocument:
-    """The document a decoded payload holds.  `packed`, when given, holds
-    the motifs of the payload's motif list, which is its markers only."""
-    if not isinstance(payload, dict):
-        raise DocumentError("document must be a JSON object")
-    if payload.get("schema_version") != SCHEMA_VERSION:
-        raise DocumentError(
-            f"unsupported schema_version {payload.get('schema_version')!r}; expected {SCHEMA_VERSION!r}"
-        )
-    for key in ("n", "kind", "motifs", "unused_arcs"):
-        if key not in payload:
-            raise DocumentError(f"missing field {key!r}")
-    n = _expect_int(payload["n"], "n")
-    if n < 1:
-        raise DocumentError(f"n must be at least 1, got {n}")
-    # The report prints n(n-1)/2, which must fit the interpreter's int-to-str
-    # digit limit (0: none).  An n below 2**limit is far too small to pass it.
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # absent before 3.10.7
-    if limit and n.bit_length() > limit and n * (n - 1) // 2 >= 10**limit:
-        raise DocumentError(f"n is too large: n(n-1)/2 has more than {limit} digits")
-    kind = payload["kind"]
-    if kind not in (KIND_DECOMPOSITION, KIND_PACKING):
-        raise DocumentError(f"kind must be 'decomposition' or 'packing', got {kind!r}")
-    raw_motifs = payload["motifs"]
-    if not isinstance(raw_motifs, list):
-        raise DocumentError("motifs must be a list")
-    motifs: list[Motif] = []
-    for position, entry in enumerate(raw_motifs if packed is None else ()):
-        if not isinstance(entry, dict):
-            raise DocumentError(f"motif {position} must be an object")
-        motif_type = entry.get("type")
-        if motif_type not in MOTIF_KINDS:
-            raise DocumentError(f"motif {position} has unknown type {motif_type!r}")
-        vertices = entry.get("vertices")
-        if not isinstance(vertices, list) or len(vertices) != 3:
-            raise DocumentError(f"motif {position} needs a vertices list of length 3")
-        triple = tuple(_expect_int(v, f"motif {position} vertex") for v in vertices)
-        motifs.append(Motif(motif_type, triple))
-    raw_unused = payload["unused_arcs"]
-    if not isinstance(raw_unused, list):
-        raise DocumentError("unused_arcs must be a list")
-    unused: list[Arc] = []
-    for position, entry in enumerate(raw_unused):
-        if not isinstance(entry, list) or len(entry) != 2:
-            raise DocumentError(f"unused arc {position} must be a [tail, head] pair")
-        unused.append(tuple(_expect_int(v, f"unused arc {position} endpoint") for v in entry))
-    return CollectionDocument(
-        n=n, kind=kind, motifs=tuple(motifs) if packed is None else packed, unused_arcs=tuple(unused)
-    )
 
 
 # --- arrow notation ---------------------------------------------------------

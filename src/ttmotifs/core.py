@@ -1,5 +1,6 @@
 """Transitive tournaments, their connected two-arc motifs, collections of
-motifs, and the verdict on a collection.
+motifs, the verdict on a collection, and the JSON document that carries
+one.
 
 The transitive tournament on n vertices is determined by its order
 alone: vertices are the integers 1..n in topological order and the arc
@@ -11,22 +12,26 @@ A `MotifCollection` is an ordered family of motifs over one TT_n; its
 one cached walk judges every motif, and `verify` reports what the walk
 found.  The builders and the JSON decoder store their motifs packed, as
 one kind byte and three vertex ints each (`_PackedMotifs`), through its
-two writers.  Both layouts, the packed store and the walk's arc table,
-are read and written only here.  The walk builds the arc table and
-counts the arcs it claims, and `MotifCollection._row_users` is the one
-reader of a row of it; the table's two layouts, dense and sparse, are
-told apart in those two places only.  This module imports no other
-ttmotifs module, so the verdict shares no code with the builders it
-checks.
+two writers: the builders append through `put_runs`, and the JSON
+document codec, which lives here too, appends through `put` as it
+decodes and reads `rows` as it encodes.  Both layouts, the packed store
+and the walk's arc table, are read and written only here.  The walk
+builds the arc table and counts the arcs it claims, and
+`MotifCollection._row_users` is the one reader of a row of it; the
+table's two layouts, dense and sparse, are told apart in those two
+places only.  This module imports no other ttmotifs module, so the
+verdict shares no code with the builders it checks.
 """
 
 from __future__ import annotations
 
+import json
+import sys
 from array import array
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain as _iter_chain, repeat
+from itertools import chain as _iter_chain, islice, repeat
 from typing import Any, NamedTuple
 
 Arc = tuple[int, int]  # (tail, head), tail < head in a transitive tournament
@@ -272,15 +277,6 @@ class _PackedMotifs(Sequence):
 
     def __repr__(self) -> str:
         return repr(tuple(self))
-
-
-def _motif_rows(motifs: Sequence[Motif]) -> Iterator[tuple[str, int, int, int]]:
-    """Each motif as a row (kind, a, b, c): at C speed from a packed
-    sequence, and unpacked from each (kind, (a, b, c)) entry of any
-    other, which must hold only such entries."""
-    if type(motifs) is _PackedMotifs:
-        return motifs.rows()
-    return ((kind, a, b, c) for kind, (a, b, c) in motifs)
 
 
 def _entry_rows(motifs: Iterable[Any]) -> Iterator[tuple[Any, Any, Any, Any]]:
@@ -584,4 +580,187 @@ def verify(collection: MotifCollection) -> VerificationReport:
         is_decomposition=valid and collection.unused_arc_count == 0,
         counts=counts,
         violations=violations,
+    )
+
+
+SCHEMA_VERSION = "1"
+
+KIND_DECOMPOSITION = "decomposition"
+KIND_PACKING = "packing"
+
+
+class DocumentError(ValueError):
+    """The input does not parse as a collection document."""
+
+
+@dataclass(frozen=True)
+class CollectionDocument:
+    """Parsed form of the JSON interchange document."""
+
+    n: int
+    kind: str  # declared: "decomposition" | "packing"
+    motifs: Sequence[Motif]
+    unused_arcs: tuple[Arc, ...]  # declared
+
+    def to_collection(self) -> MotifCollection:
+        return MotifCollection(self.n, self.motifs)
+
+
+# Motifs per piece of an encoded document: big enough that the pieces
+# are few, small enough that one piece's strings are a small share of it.
+_MOTIFS_PER_PIECE = 4096
+
+
+def _json_block(key: str, pieces: list[str], last: bool = False) -> list[str]:
+    """An indented JSON array field with one item per line, as strings to
+    join.  Each piece is one item, or several joined as the block joins
+    them."""
+    comma = "" if last else ","
+    if not pieces:
+        return [f'  "{key}": []{comma}\n']
+    parts = [f'  "{key}": [\n    ']
+    for piece in pieces:
+        parts += (piece, ",\n    ")
+    parts[-1] = f"\n  ]{comma}\n"
+    return parts
+
+
+def document_to_json(document: CollectionDocument) -> str:
+    """The document as indented JSON, one motif or unused arc per line.
+    The motif lines are joined `_MOTIFS_PER_PIECE` at a time and the
+    document once, so the encoder holds about two copies of its output,
+    not a string per motif besides.  A document it could not read back
+    raises `ValueError`: an order that is not one, an unknown document
+    kind, an unused arc that is not a tuple of two ints, or, unless the
+    motifs are packed, a motif that is not a known kind on a tuple of
+    three ints."""
+    check_order(document.n)
+    if document.kind not in (KIND_DECOMPOSITION, KIND_PACKING):
+        raise ValueError(f"unknown document kind {_shown(document.kind)}")
+    for arc in document.unused_arcs:
+        if not (type(arc) is tuple and len(arc) == 2 and type(arc[0]) is type(arc[1]) is int):
+            raise ValueError(f"unused arc {_shown(arc)} is not a tuple of two ints")
+    # A packed store holds only what its writers accept, so only the
+    # motifs of any other sequence are checked, read as the walk reads them.
+    motifs = document.motifs
+    rows = motifs.rows() if type(motifs) is _PackedMotifs else list(_entry_rows(motifs))
+    for index, (kind, a, b, c) in enumerate(rows if type(rows) is list else ()):
+        if kind not in MOTIF_KINDS or not (type(a) is type(b) is type(c) is int):
+            raise ValueError(f"motif {index} is not a known kind on a tuple of three ints")
+    rows = iter(rows)
+    # One f-string per motif writes what json.dumps would of the object
+    # {"type": kind, "vertices": [a, b, c]}, for the three kind names and
+    # int vertices.
+    pieces = [
+        ",\n    ".join([
+            f'{{"type": "{kind}", "vertices": [{a}, {b}, {c}]}}'
+            for kind, a, b, c in islice(rows, _MOTIFS_PER_PIECE)
+        ])
+        for _ in range(0, len(motifs), _MOTIFS_PER_PIECE)
+    ]
+    unused = [f"[{tail}, {head}]" for tail, head in document.unused_arcs]
+    return "".join([
+        "{\n",
+        f'  "schema_version": {json.dumps(SCHEMA_VERSION)},\n',
+        f'  "n": {document.n},\n',
+        f'  "kind": {json.dumps(document.kind)},\n',
+        *_json_block("motifs", pieces),
+        *_json_block("unused_arcs", unused, last=True),
+        "}\n",
+    ])
+
+
+def _expect_int(value: Any, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DocumentError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _decode(text: str, object_hook: Callable[[dict[str, Any]], Any] | None = None) -> Any:
+    try:
+        return json.loads(text, object_hook=object_hook)
+    except json.JSONDecodeError as exc:
+        raise DocumentError(f"not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise DocumentError("nested too deeply to decode") from exc
+    except ValueError as exc:  # e.g. an integer literal over the interpreter's digit limit
+        raise DocumentError(f"cannot decode: {exc}") from exc
+
+
+def document_from_json(text: str) -> CollectionDocument:
+    """Parse and structurally validate a document; content problems
+    (bad canonical form, duplicate arcs, wrong declared kind) are left
+    for verification."""
+    packed = _PackedMotifs()
+    stored = object()  # what the hook returns for each motif it packs
+    add = packed.put
+
+    def pack(entry: dict[str, Any]) -> Any:
+        """Object hook for json.loads: an object that passes every check
+        `_document_from_payload` makes of a motif entry, and whose vertices
+        fit the packed store, goes into `packed` as soon as it is decoded,
+        so its dict and vertex list never pile up.  Any other object stays
+        a dict."""
+        return stored if add(entry.get("type"), entry.get("vertices")) else entry
+
+    payload = _decode(text, pack)
+    raw_motifs = payload.get("motifs") if type(payload) is dict else None
+    # Keep the packed motifs only when the motif list is exactly the
+    # markers, all of them; then no message can show a marker, so an
+    # error is final.  Otherwise (an entry the hook left a dict, a
+    # motif-shaped object elsewhere) decode again without the hook, so
+    # that every message shows the values as the document wrote them.
+    if type(raw_motifs) is list and len(raw_motifs) == len(packed) == raw_motifs.count(stored):
+        return _document_from_payload(payload, packed)
+    return _document_from_payload(_decode(text))
+
+
+def _document_from_payload(payload: Any, packed: _PackedMotifs | None = None) -> CollectionDocument:
+    """The document a decoded payload holds.  `packed`, when given, holds
+    the motifs of the payload's motif list, which is its markers only."""
+    if not isinstance(payload, dict):
+        raise DocumentError("document must be a JSON object")
+    if payload.get("schema_version") != SCHEMA_VERSION:
+        raise DocumentError(
+            f"unsupported schema_version {payload.get('schema_version')!r}; expected {SCHEMA_VERSION!r}"
+        )
+    for key in ("n", "kind", "motifs", "unused_arcs"):
+        if key not in payload:
+            raise DocumentError(f"missing field {key!r}")
+    n = _expect_int(payload["n"], "n")
+    if n < 1:
+        raise DocumentError(f"n must be at least 1, got {n}")
+    # The report prints n(n-1)/2, which must fit the interpreter's int-to-str
+    # digit limit (0: none).  An n below 2**limit is far too small to pass it.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # absent before 3.10.7
+    if limit and n.bit_length() > limit and n * (n - 1) // 2 >= 10**limit:
+        raise DocumentError(f"n is too large: n(n-1)/2 has more than {limit} digits")
+    kind = payload["kind"]
+    if kind not in (KIND_DECOMPOSITION, KIND_PACKING):
+        raise DocumentError(f"kind must be 'decomposition' or 'packing', got {kind!r}")
+    raw_motifs = payload["motifs"]
+    if not isinstance(raw_motifs, list):
+        raise DocumentError("motifs must be a list")
+    motifs: list[Motif] = []
+    for position, entry in enumerate(raw_motifs if packed is None else ()):
+        if not isinstance(entry, dict):
+            raise DocumentError(f"motif {position} must be an object")
+        motif_type = entry.get("type")
+        if motif_type not in MOTIF_KINDS:
+            raise DocumentError(f"motif {position} has unknown type {motif_type!r}")
+        vertices = entry.get("vertices")
+        if not isinstance(vertices, list) or len(vertices) != 3:
+            raise DocumentError(f"motif {position} needs a vertices list of length 3")
+        triple = tuple(_expect_int(v, f"motif {position} vertex") for v in vertices)
+        motifs.append(Motif(motif_type, triple))
+    raw_unused = payload["unused_arcs"]
+    if not isinstance(raw_unused, list):
+        raise DocumentError("unused_arcs must be a list")
+    unused: list[Arc] = []
+    for position, entry in enumerate(raw_unused):
+        if not isinstance(entry, list) or len(entry) != 2:
+            raise DocumentError(f"unused arc {position} must be a [tail, head] pair")
+        unused.append(tuple(_expect_int(v, f"unused arc {position} endpoint") for v in entry))
+    return CollectionDocument(
+        n=n, kind=kind, motifs=tuple(motifs) if packed is None else packed, unused_arcs=tuple(unused)
     )

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -730,7 +731,7 @@ def _one_join_encoding(document: CollectionDocument) -> str:
 
 @pytest.mark.parametrize("pieces, extra", [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (2, 1)])
 def test_encoder_is_the_one_join_formula_at_every_piece_boundary(pieces, extra):
-    count = pieces * cli._MOTIFS_PER_PIECE + extra
+    count = pieces * ttmotifs.core._MOTIFS_PER_PIECE + extra
     motifs = tuple(Motif(MOTIF_KINDS[i % 3], (i + 1, i + 2, i + 3)) for i in range(count))
     for unused in ((), ((1, 3),), ((1, 3), (2, 5))):
         document = CollectionDocument(n=count + 3, kind="packing", motifs=motifs, unused_arcs=unused)
@@ -750,6 +751,35 @@ def test_encoder_holds_about_two_copies_of_its_output():
     finally:
         tracemalloc.stop()
     assert peak < 2.5 * len(text)
+
+
+_WRITABLE = CollectionDocument(n=3, kind="packing", motifs=(chain(1, 2, 3),), unused_arcs=((1, 3),))
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"motifs": (Motif("chain", (True, 2, 3)),)},
+        {"motifs": (("chain", "abc"),)},
+        {"motifs": (Motif('ch"ain', (1, 2, 3)),)},
+        {"n": True},
+        {"unused_arcs": ((True, 2),)},
+        {"motifs": (Motif("chain", (1.5, 2, 3)),)},
+        {"kind": "bogus"},
+        {"motifs": (("chain", [1, 2, 3]),)},
+    ],
+    ids=[
+        "bool-vertex", "str-vertices", "quoted-kind", "bool-n", "bool-arc-end", "float-vertex", "bogus-kind",
+        "list-vertices",
+    ],
+)
+def test_encoder_refuses_a_document_it_could_not_read_back(change):
+    # Each of these was written as text that is not JSON, as a document
+    # the decoder rejects, or, for list vertices, as a different document
+    # that verifies although the original does not.
+    assert document_from_json(document_to_json(_WRITABLE)) == _WRITABLE
+    with pytest.raises(ValueError):
+        document_to_json(replace(_WRITABLE, **change))
 
 
 @settings(max_examples=300)

@@ -1,7 +1,8 @@
 """Package-wide rules: the runtime imports only the standard library, the
 modules import one another in layers, only `core` knows how motifs and
 arcs are stored (and in `core`, only the walk and `_row_users` know the
-arc table's two layouts), no module keeps an import it does not use,
+arc table's two layouts), only `core` and the builders use the packed
+motif store, no module keeps an import it does not use,
 the README's library and command-line examples run as written, and a
 failing property test under the repository's pytest settings reports its
 falsifying example."""
@@ -55,9 +56,10 @@ def _sibling_imports(path: Path) -> set[str]:
 
 
 def test_modules_import_in_layers():
-    """`core` holds the model and its verdict and imports no sibling; the
-    builders, the closed forms, the diagram and the oracle build on `core`
-    alone; only the command line and the package root see the builders.
+    """`core` holds the model, its verdict and its JSON document and
+    imports no sibling; the builders, the closed forms, the diagram and
+    the oracle build on `core` alone; only the command line and the
+    package root see the builders.
     So `verify`, the closed forms and the oracle check the builders with
     code that shares nothing with them."""
     imports = {path.stem: _sibling_imports(path) for path in SOURCES}
@@ -71,8 +73,9 @@ def test_modules_import_in_layers():
 def test_only_core_touches_how_motifs_and_arcs_are_stored():
     """The packed motif store's `kinds` and `vertices` arrays, its kind
     bytes (`MOTIF_KINDS.index`) and the walk's arc table (`_arc_walk`)
-    are read and written in `core` only; the other modules go through
-    `_PackedMotifs.put_runs`, `put` and `rows` and through
+    are read and written in `core` only, which also holds the JSON
+    document that packs and reads motifs; the builders go through
+    `_PackedMotifs.put_runs` and the diagram through
     `MotifCollection._row_users`.  A `Motif`'s own field is also named
     `vertices`, so outside `core` a motif is unpacked, never read by
     attribute, and this needs no types to tell the two apart."""
@@ -89,6 +92,27 @@ def test_only_core_touches_how_motifs_and_arcs_are_stored():
                 if getattr(owner, "id", getattr(owner, "attr", None)) == "MOTIF_KINDS":
                     found.append((path.name, node.lineno, "MOTIF_KINDS.index"))
     assert found == []
+
+
+def test_only_core_and_the_builders_use_the_packed_store():
+    """Outside `core`, only the builders name the packed motif store
+    (`_PackedMotifs`), and they fill it through `put_runs` alone: no other
+    module reaches a store's `put` or `rows`, and none imports an
+    underscore name from `core` but the builders' `_PackedMotifs`."""
+    naming, reaching, private = set(), [], set()
+    for path in SOURCES:
+        if path.stem == "core":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and node.id == "_PackedMotifs":
+                naming.add(path.stem)
+            if isinstance(node, ast.Attribute) and node.attr in ("put", "rows"):
+                reaching.append((path.name, node.lineno, node.attr))
+            if isinstance(node, ast.ImportFrom) and node.level and node.module == "core":
+                private.update((path.stem, alias.name) for alias in node.names if alias.name.startswith("_"))
+    assert naming == {"constructions"}
+    assert reaching == []
+    assert private == {("constructions", "_PackedMotifs")}
 
 
 def test_only_the_walk_and_row_users_know_the_arc_tables_two_layouts():
